@@ -1,5 +1,5 @@
 /// Push-based ingestion sessions — throughput and input-memory residency of
-/// the streamed write data plane against the whole-array compatibility path.
+/// the streamed write data plane against the whole-array write(ArrayView) path.
 ///
 /// What this measures (no paper figure — the session API is the in-situ
 /// deployment shape the error-bounded-compression literature calls for):
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     {
       Timer timer;
       for (int s = 0; s <= steps; ++s) {
-        if (!push_writer.begin(push_bytes, archive::kFormatVersion).ok()) return 1;
+        if (!push_writer.begin(push_bytes).ok()) return 1;
         archive::FieldDesc desc;
         desc.dtype = temp.dtype();
         desc.shape = temp.shape();

@@ -9,6 +9,11 @@
 /// serve_protocol/, varint/, entropy/, szx/, fpc/, sz2/).  The checked-in copy
 /// lives at tests/corpus/ and doubles as the negative-path unit-test input
 /// set.
+///
+/// archive_format/ also holds v1 and v2 archives (archive_v2.fraz,
+/// footer_v2.bin, v1_*.fraz, v2_*.fraz).  No writer emits those formats any
+/// more, so they are frozen read-compat fixtures: this tool does not
+/// regenerate them, and they must never be rewritten.
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -51,31 +56,24 @@ NdArray smooth_field() {
 
 bool emit_archives(const fs::path& dir) {
   const NdArray field = smooth_field();
-  for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{3}}) {
-    archive::ArchiveWriteConfig config;
-    config.engine.compressor = "truncate";
-    config.engine.tuner.target_ratio = 2.5;
-    config.engine.tuner.epsilon = 0.3;
-    config.chunk_extent = 3;
-    config.threads = 1;
-    config.format_version = version;
-    archive::ArchiveWriter writer(std::move(config));
-    Buffer bytes;
-    auto written = writer.write(field.view(), bytes);
-    if (!written.ok()) {
-      std::fprintf(stderr, "make_corpus: pack v%u failed: %s\n", version,
-                   written.status().to_string().c_str());
-      return false;
-    }
-    const std::string name = "archive_v" + std::to_string(version) + ".fraz";
-    if (!write_file(dir / name, bytes.data(), bytes.size())) return false;
-    // The bare footer is its own seed: the open path's first parse step.
-    const std::size_t tail = bytes.size() < 48 ? bytes.size() : 48;
-    if (!write_file(dir / ("footer_v" + std::to_string(version) + ".bin"),
-                    bytes.data() + bytes.size() - tail, tail))
-      return false;
+  archive::ArchiveWriteConfig config;
+  config.engine.compressor = "truncate";
+  config.engine.tuner.target_ratio = 2.5;
+  config.engine.tuner.epsilon = 0.3;
+  config.chunk_extent = 3;
+  config.threads = 1;
+  archive::ArchiveWriter writer(std::move(config));
+  Buffer bytes;
+  auto written = writer.write(field.view(), bytes);
+  if (!written.ok()) {
+    std::fprintf(stderr, "make_corpus: pack failed: %s\n",
+                 written.status().to_string().c_str());
+    return false;
   }
-  return true;
+  if (!write_file(dir / "archive_v3.fraz", bytes.data(), bytes.size())) return false;
+  // The bare footer is its own seed: the open path's first parse step.
+  const std::size_t tail = bytes.size() < 48 ? bytes.size() : 48;
+  return write_file(dir / "footer_v3.bin", bytes.data() + bytes.size() - tail, tail);
 }
 
 bool emit_bound_store(const fs::path& dir) {

@@ -2,8 +2,7 @@
 #define FRAZ_ARCHIVE_ARCHIVE_HPP
 
 /// \file archive.hpp
-/// Chunked, seekable super-frame archive over the fixed-ratio pipeline —
-/// the in-memory transport.
+/// Chunked, seekable super-frame archive over the fixed-ratio pipeline.
 ///
 /// FRaZ's ratio guarantee is framed per whole field, but production stores
 /// (cf. C-Blosc2's super-chunk/frame design) shard data into independently
@@ -15,23 +14,27 @@
 /// the band, the aggregate raw/archive ratio is what must land in ρt(1±ε)
 /// and is recorded in the footer.
 ///
+/// **One writer, one reader.**  ArchiveWriter picks its byte sink from the
+/// argument it is given — a caller-owned `Buffer&` or a file path, which it
+/// streams append-only as chunks finish (output memory O(largest chunk ×
+/// workers), so archives may exceed RAM).  ArchiveReader picks its byte
+/// source from its factory — caller memory (zero-copy), or a file read
+/// through mmap or positioned reads, touching only the footer and manifest
+/// at open and exactly the chunks a request covers after.  Buffer and file
+/// builds of the same data are byte-identical at any worker count.
+///
 /// **Ingestion is push-based.**  Data enters through a FieldSession:
 /// `begin()` starts a build, `open_field(name, desc)` declares one field's
 /// geometry, and the caller push()es planes or slabs as they arrive —
 /// simulation time steps, instrument planes — in any slab granularity.  The
 /// session assembles chunk rows and hands each completed row to the parallel
 /// chunk pipeline immediately, so writer *input* memory is O(chunk-row ×
-/// workers), never O(field).  `write(ArrayView)` remains as a thin
-/// compatibility wrapper: one session fed a single slab (byte-identical
-/// archives, gated by test).  A v3 archive holds any number of named fields;
-/// v1/v2 single-field archives remain fully readable and writable.
+/// workers), never O(field).  `write(ArrayView)` is begin() plus one session
+/// fed a single slab under kDefaultFieldName.
 ///
-/// The wire formats (v3 multi-field and v2 single-field chunks-first
-/// streaming layouts, v1 manifest-first legacy layout) are documented in
-/// `archive/format.hpp`; the file-backed transport that streams chunks to
-/// disk as they finish lives in `archive/archive_file.hpp`.  All transports
-/// share one chunk pipeline and one manifest codec, so in-memory and
-/// file-backed packs of the same data are byte-identical.
+/// Every writer emits format v3 (any number of named fields); v1 and v2
+/// archives stay readable.  The wire formats are documented in
+/// `archive/format.hpp`.
 ///
 /// Seekability: the manifest and footer carry their own CRCs, chunk CRCs live
 /// in the manifest, and chunk payloads are validated only when touched — a
@@ -61,10 +64,9 @@ namespace fraz::archive {
 namespace detail {
 class ArchiveAssembler;
 class ByteSink;
-class BufferSink;
 }  // namespace detail
 
-/// Construction-time configuration of an archive writer (both transports).
+/// Construction-time configuration of an archive writer.
 struct ArchiveWriteConfig {
   /// Backend + tuning knobs; engine.tuner.target_ratio/epsilon define the
   /// archive-level acceptance band.  Tuner thread parallelism is forced to 1
@@ -79,13 +81,6 @@ struct ArchiveWriteConfig {
   /// Chunk-compression workers; 0 selects hardware concurrency.  Never
   /// affects the output bytes.
   unsigned threads = 0;
-  /// On-disk format write() emits.  v2 (default) is the chunks-first
-  /// streaming layout and records the backend by registry name, so user
-  /// plugins round-trip; v1 is the legacy manifest-first layout restricted
-  /// to the four built-in backends (and cannot stream — the whole chunk
-  /// region is buffered before the manifest is written).  Multi-field
-  /// builds started with begin() default to v3.
-  std::uint8_t format_version = kFormatVersion;
   /// When the backend is "zfp" and a chunk's accuracy-mode ratio misses the
   /// acceptance band (ZFP's bit-plane treads are too coarse on small chunks
   /// — the expressibility limit the paper reports in §VI-B.3), recompress
@@ -138,11 +133,11 @@ struct FieldWriteReport {
   std::vector<ChunkReport> chunks;  ///< offsets absolute within the chunk region
 };
 
-/// Outcome of one archive write (either transport).  The flat members mirror
+/// Outcome of one archive write.  The flat members mirror
 /// the archive totals (and fields[0]'s geometry), `fields` the per-field
 /// breakdown.
 struct ArchiveWriteResult {
-  std::uint8_t format_version = 0;
+  std::uint8_t format_version = 0;  ///< always kFormatVersionMultiField
   std::size_t chunk_count = 0;      ///< fields[0]'s chunk count
   std::size_t chunk_extent = 0;     ///< fields[0]'s chunk extent
   std::size_t raw_bytes = 0;        ///< total across every field
@@ -159,7 +154,7 @@ struct ArchiveWriteResult {
   std::size_t probe_cache_hits = 0;
   /// Peak number of chunk payloads the writer held in memory at once
   /// (claimed-but-unemitted); bounded by workers + 1, which is what makes
-  /// the streaming transport's memory O(largest chunk × workers).
+  /// a path build's memory O(largest chunk × workers).
   std::size_t peak_buffered_chunks = 0;
   /// Peak bytes of completed-but-unemitted chunk payloads.
   std::size_t peak_buffered_bytes = 0;
@@ -173,7 +168,7 @@ struct ArchiveWriteResult {
 };
 
 /// Warm-start state a writer carries across write() calls and field
-/// sessions, shared by the in-memory and file transports: the persistent
+/// sessions, whatever sink each build writes to: the persistent
 /// chunk-0 tuning engine plus the thread-safe stores every per-worker chunk
 /// engine adopts — a BoundStore holding the freshest feasible bound under a
 /// deterministic per-(field, chunk) key (the time dimension of Algorithm 3;
@@ -230,7 +225,6 @@ public:
 
 private:
   friend class ArchiveWriter;
-  friend class ArchiveFileWriter;
   explicit FieldSession(std::weak_ptr<detail::ArchiveAssembler> assembler) noexcept
       : assembler_(std::move(assembler)) {}
 
@@ -257,34 +251,40 @@ public:
 
   ArchiveWriter(ArchiveWriter&&) noexcept;
   ArchiveWriter& operator=(ArchiveWriter&&) noexcept;
+  /// Abandons an active build (see cancel()).
   ~ArchiveWriter();
 
   const ArchiveWriteConfig& config() const noexcept { return config_; }
 
-  /// Compress \p data into a complete single-field archive in the caller's
-  /// reusable \p out — a thin compatibility wrapper over one FieldSession
-  /// fed the whole array (same bytes, gated by test).  Non-throwing; on
-  /// failure \p out is unspecified.  Fails while a begin() build is active.
+  /// Compress \p data into a complete archive holding one field named
+  /// kDefaultFieldName: begin() + one session fed the whole array +
+  /// finish().  Into the caller's reusable \p out (unspecified on failure),
+  /// or streamed to \p path (created or truncated; removed on failure).
+  /// Fails while a begin() build is active.
   Result<ArchiveWriteResult> write(const ArrayView& data, Buffer& out) noexcept;
+  Result<ArchiveWriteResult> write(const std::string& path, const ArrayView& data) noexcept;
 
-  /// Start a streaming multi-field build into \p out (cleared; it must
-  /// outlive the build).  \p version defaults to the v3 multi-field layout;
-  /// v2/v1 are accepted for single-field builds.  Fails if a build is
-  /// already in progress.
-  Status begin(Buffer& out, std::uint8_t version = kFormatVersionMultiField) noexcept;
+  /// Start a build into \p out (cleared; it must outlive the build) or
+  /// streamed to the file at \p path (created or truncated).  Fails if a
+  /// build is already in progress.
+  Status begin(Buffer& out) noexcept;
+  Status begin(const std::string& path) noexcept;
 
   /// Declare the next field of the current build and get its ingestion
   /// session.  One field is open at a time; names must be unique within the
   /// build (and are the warm-start namespace across builds).
   Result<FieldSession> open_field(const std::string& name, const FieldDesc& desc) noexcept;
 
-  /// Seal the build: write the field-table manifest and footer.  Every
-  /// opened field must have been closed.  On failure the build stays active
-  /// — close the offending field and retry, or cancel().
+  /// Seal the build: write the field-table manifest and footer, then flush
+  /// and close a file sink.  Every opened field must have been closed.  On
+  /// an assembler failure the build stays active — close the offending
+  /// field and retry, or cancel(); on a filesystem failure the partial file
+  /// is removed.
   Result<ArchiveWriteResult> finish() noexcept;
 
-  /// Abandon an in-progress build (the output buffer is left holding a
-  /// partial, unreadable archive).  No-op when no build is active.
+  /// Abandon an in-progress build: a Buffer is left holding a partial,
+  /// unreadable archive; a partial file is closed and removed.  No-op when
+  /// no build is active.
   void cancel() noexcept;
 
   /// The writer's persistent per-(field, chunk) warm-bound store — the state
@@ -292,29 +292,54 @@ public:
   const BoundStorePtr& bound_store() const noexcept { return state_->bounds; }
 
 private:
+  /// Start a build appending to \p sink.
+  Status start(std::unique_ptr<detail::ByteSink> sink) noexcept;
+  /// One session fed \p data, then finish(); cancels the build on failure.
+  Result<ArchiveWriteResult> write_single(const ArrayView& data) noexcept;
+
   ArchiveWriteConfig config_;
   /// Heap-allocated so sessions and assemblers can hold stable references
   /// across writer moves.
   std::unique_ptr<WriterWarmState> state_;
-  std::unique_ptr<detail::BufferSink> build_sink_;     ///< active build only
-  std::shared_ptr<detail::ArchiveAssembler> build_;    ///< active build only
+  std::unique_ptr<detail::ByteSink> sink_;           ///< active build only
+  std::shared_ptr<detail::ArchiveAssembler> build_;  ///< active build only
 };
 
-/// Random-access reader over an archive held in memory.  The reader does not
-/// own the bytes; they must outlive it.  open() validates manifest and
-/// footer only — chunk payloads are checked (CRC + backend validation) by
-/// exactly the reads that touch them, so corruption in one chunk leaves
-/// every other chunk readable.  Reads all format versions; the unnamed
-/// read methods serve fields()[0] (the only field of a v1/v2 archive).
+/// Random-access reader over an archive in caller memory or in a file.
+/// open() validates footer and manifest only — chunk payloads are fetched
+/// and checked (CRC + backend validation) by exactly the reads that touch
+/// them, so corruption in one chunk leaves every other chunk readable.
+/// Reads all format versions; the unnamed read methods serve fields()[0]
+/// (the only field of a v1/v2 archive).  Not thread-safe (one serial decode
+/// engine per field); serve::ReaderPool shares one reader's source across
+/// threads.
 class ArchiveReader {
 public:
-  /// Validate manifest + footer and build the chunk index.
+  /// Open \p size bytes at \p data, zero-copy: the reader does not own the
+  /// bytes, which must outlive it.
   static Result<ArchiveReader> open(const std::uint8_t* data, std::size_t size) noexcept;
+
+  /// Open the archive file at \p path: mmap'd (the POSIX default) or read
+  /// through positioned reads, per \p mode.
+  static Result<ArchiveReader> open(const std::string& path,
+                                    FileReadMode mode = FileReadMode::kAuto) noexcept;
+
+  ArchiveReader(ArchiveReader&&) noexcept;
+  ArchiveReader& operator=(ArchiveReader&&) noexcept;
+  ~ArchiveReader();
 
   const ArchiveInfo& info() const noexcept { return core_.info(); }
 
   /// Field table of the archive (one synthesized entry for v1/v2).
   const std::vector<FieldInfo>& fields() const noexcept { return core_.fields(); }
+
+  /// True when this reader serves fetches through an mmap'd file view.
+  bool mapped() const noexcept { return source_->mapped(); }
+
+  /// The reader's byte source.  Thread-safe for concurrent fetches; this is
+  /// what lets serve::ReaderPool decode chunks from many threads over one
+  /// open archive.
+  const detail::ChunkSource& chunk_source() const noexcept { return *source_; }
 
   /// Shape of chunk \p i ({extent_i, rest...}; the last chunk may be short).
   Shape chunk_shape(std::size_t i) const;
@@ -340,12 +365,15 @@ public:
                              std::size_t count, unsigned threads = 1) noexcept;
 
 private:
-  ArchiveReader(const std::uint8_t* data, std::size_t size,
-                detail::ReaderCore core) noexcept
-      : source_(data, size), core_(std::move(core)) {}
+  ArchiveReader(std::unique_ptr<const detail::ChunkSource> source,
+                detail::ReaderCore core) noexcept;
 
-  detail::MemorySource source_;  ///< zero-copy view of the caller's bytes
-  detail::ReaderCore core_;      ///< shared per-field read dispatch
+  /// The one open path: footer, then manifest, then per-field engines.
+  static Result<ArchiveReader> open_source(
+      std::unique_ptr<const detail::ChunkSource> source) noexcept;
+
+  std::unique_ptr<const detail::ChunkSource> source_;  ///< memory, mmap or pread
+  detail::ReaderCore core_;                            ///< per-field read dispatch
 };
 
 }  // namespace fraz::archive

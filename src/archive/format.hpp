@@ -2,54 +2,17 @@
 #define FRAZ_ARCHIVE_FORMAT_HPP
 
 /// \file format.hpp
-/// The archive wire codec shared by every transport: manifest and footer
-/// encoding/parsing for both on-disk layouts.
+/// The archive wire codec: manifest and footer encoding (v3, the one format
+/// every writer emits) and parsing (v1, v2 and v3 — old archives stay
+/// readable forever, pinned by the fixtures in tests/corpus/archive_format/).
 ///
-/// **Format v1** (PR 2, manifest-first):
-///
-///   [manifest]   a standard Container frame (magic 'FRaZ', compressor id,
-///                dtype, FULL logical shape, CRC-32) whose payload is:
-///                  u32     archive magic 'FRzA'
-///                  u8      archive format version (1)
-///                  f64     target ratio ρt,  f64 epsilon ε
-///                  varint  chunk extent,  varint chunk count
-///                  per chunk: varint offset, varint size, f64 bound, u32 CRC
-///   [chunks]     concatenated chunk payloads
-///   [footer]     fixed 40 bytes: u32 magic 'FRzE', u64 manifest size,
-///                u64 raw bytes, u64 archive bytes, f64 aggregate ratio,
-///                u32 CRC-32 over the preceding 36 bytes
-///
-/// **Format v2** (current, chunks-first — the streaming layout):
-///
-///   [chunks]     concatenated chunk payloads, starting at offset 0.  A
-///                streaming writer appends each chunk as it finishes; nothing
-///                upstream of a chunk ever needs rewriting.
-///   [manifest]   a self-framed block (no Container wrapper, so the backend
-///                no longer needs a built-in CompressorId):
-///                  u32     manifest magic 'FRzM'
-///                  u8      archive format version (2)
-///                  u8      dtype tag (0 = f32, 1 = f64)
-///                  varint  ndims, then varint extents (slowest first)
-///                  varint  compressor-name length, then the registry name —
-///                          user plugins round-trip through archives
-///                  f64     target ratio ρt,  f64 epsilon ε
-///                  varint  chunk extent,  varint chunk count
-///                  per chunk: varint offset, varint size, f64 bound, u32 CRC
-///                  u32     CRC-32 over every preceding manifest byte
-///   [footer]     fixed 48 bytes at the very end:
-///                  u32  footer magic 'FRz2'
-///                  u64  manifest offset (= chunk region size)
-///                  u64  manifest size
-///                  u64  raw bytes of the original array
-///                  u64  total archive bytes (self check)
-///                  f64  achieved aggregate ratio (raw / archive)
-///                  u32  CRC-32 over the 44 footer bytes before it
-///
-/// **Format v3** (multi-field, chunks-first — the streaming layout):
+/// **Format v3** (written; multi-field, chunks-first — the streaming layout):
 ///
 ///   [chunks]     concatenated chunk payloads of EVERY field, in field write
-///                order, starting at offset 0.  Fields are ingested one at a
-///                time (push-based sessions), so each field's chunks form a
+///                order, starting at offset 0.  A streaming writer appends
+///                each chunk as it finishes; nothing upstream of a chunk ever
+///                needs rewriting.  Fields are ingested one at a time
+///                (push-based sessions), so each field's chunks form a
 ///                contiguous span and the spans tile the region in manifest
 ///                order.  Chunk offsets are absolute within the region.
 ///   [manifest]   a self-framed field table:
@@ -61,17 +24,36 @@
 ///                    u8      dtype tag (0 = f32, 1 = f64)
 ///                    varint  ndims, then varint extents (slowest first)
 ///                    varint  compressor-name length, then the registry name
+///                            — user plugins round-trip through archives
 ///                    f64     target ratio ρt,  f64 epsilon ε
 ///                    f64     per-field aggregate payload ratio (raw/payload)
 ///                    varint  chunk extent,  varint chunk count
 ///                    per chunk: varint offset, varint size, f64 bound, u32 CRC
 ///                  u32     CRC-32 over every preceding manifest byte
-///   [footer]     the same 48-byte 'FRz2' trailer as v2 (raw/archive bytes
-///                are totals across fields); the manifest's version byte is
-///                what distinguishes a v3 archive from a v2 one.
+///   [footer]     fixed 48 bytes at the very end:
+///                  u32  footer magic 'FRz2'
+///                  u64  manifest offset (= chunk region size)
+///                  u64  manifest size
+///                  u64  raw bytes across every field
+///                  u64  total archive bytes (self check)
+///                  f64  achieved aggregate ratio (raw / archive)
+///                  u32  CRC-32 over the 44 footer bytes before it
 ///
-/// A reader locates the footer from the end of the byte stream (v2/v3 trailer
-/// tried first, then v1), so all layouts stay readable through one parse path.
+/// **Format v2** (read-only; single-field, chunks-first): the same chunk
+/// region and 'FRz2' footer; the manifest after 'FRzM' carries version 2,
+/// then dtype tag, shape, compressor name, ρt, ε, chunk extent and the chunk
+/// index of its one field (no name, no per-field ratio), then its CRC.
+///
+/// **Format v1** (read-only; manifest-first): a standard Container frame
+/// (magic 'FRaZ', compressor id, dtype, full shape, CRC-32) whose payload is
+/// u32 'FRzA', u8 version (1), f64 ρt, f64 ε, varint chunk extent and the
+/// chunk index; then the chunk region; then a 40-byte footer: u32 'FRzE',
+/// u64 manifest size, u64 raw bytes, u64 archive bytes, f64 aggregate ratio,
+/// u32 CRC-32 over the preceding 36 bytes.
+///
+/// A reader locates the footer from the end of the byte stream ('FRz2'
+/// trailer tried first, then v1), so all layouts open through one parse path;
+/// v1/v2 present their array as one field named kDefaultFieldName.
 
 #include <cstdint>
 #include <string>
@@ -83,14 +65,11 @@
 
 namespace fraz::archive {
 
-/// Archive format version written by default (single-field packs).
-inline constexpr std::uint8_t kFormatVersion = 2;
-
-/// Format version of multi-field archives (the field-table manifest).
+/// The one format version every writer emits (the field-table manifest).
 inline constexpr std::uint8_t kFormatVersionMultiField = 3;
 
 /// Field name single-field (v1/v2) archives are presented under, and the
-/// name the compatibility write(ArrayView) path ingests as.
+/// name the single-array write(ArrayView) path ingests as.
 inline constexpr const char* kDefaultFieldName = "data";
 
 /// Maximum fields a v3 archive may hold — enforced symmetrically by the
@@ -98,7 +77,7 @@ inline constexpr const char* kDefaultFieldName = "data";
 /// produces an archive its own readers open.
 inline constexpr std::size_t kMaxFields = 4096;
 
-/// Size of the fixed trailer of the current (v2/v3) formats.
+/// Size of the fixed 'FRz2' trailer of the v2/v3 formats.
 inline constexpr std::size_t kFooterBytes = 48;
 
 /// Size of the v1 trailer (still readable).
@@ -171,18 +150,6 @@ struct Footer {
 /// Registry name of a container CompressorId ("sz", "zfp", ...).
 std::string backend_name(CompressorId id);
 
-/// Inverse of backend_name; throws Unsupported for names outside the four
-/// built-in ids the v1 format can record (v2 records the name itself).
-CompressorId backend_id(const std::string& name);
-
-/// Encode the manifest block for \p version into \p out (cleared first).
-/// v1 seals a Container frame around the legacy payload and therefore
-/// requires a built-in backend; v2 is self-framed and accepts any name.
-void encode_manifest(std::uint8_t version, const std::string& compressor, DType dtype,
-                     const Shape& shape, double target_ratio, double epsilon,
-                     std::size_t chunk_extent, const std::vector<ChunkEntry>& chunks,
-                     Buffer& out);
-
 /// Encode the v3 multi-field manifest (field table) into \p out (cleared
 /// first).  Field names must be unique, 1..256 bytes; chunk offsets must be
 /// absolute within the chunk region and tile it in field order.
@@ -191,12 +158,10 @@ void encode_manifest_fields(const std::vector<FieldInfo>& fields, Buffer& out);
 /// Field named \p name in \p info, or nullptr when absent.
 const FieldInfo* find_field(const ArchiveInfo& info, const std::string& name) noexcept;
 
-/// Append the fixed trailer for \p version to \p out.  For v1,
-/// \p manifest_offset is ignored (the manifest starts at 0 by construction
-/// and the footer records only its size).
-void encode_footer(std::uint8_t version, std::size_t manifest_offset,
-                   std::size_t manifest_size, std::uint64_t raw_bytes,
-                   std::uint64_t archive_bytes, double achieved_ratio, Buffer& out);
+/// Append the fixed 48-byte 'FRz2' trailer to \p out.
+void encode_footer(std::size_t manifest_offset, std::size_t manifest_size,
+                   std::uint64_t raw_bytes, std::uint64_t archive_bytes,
+                   double achieved_ratio, Buffer& out);
 
 /// Parse and validate the trailer from the archive's final bytes.  \p tail
 /// must hold the last min(kFooterBytes, total_size) bytes of the stream and

@@ -2,15 +2,13 @@
 #define FRAZ_ARCHIVE_PIPELINE_HPP
 
 /// \file pipeline.hpp
-/// The transport-independent write core of `fraz::archive`: the push-based
-/// archive assembler every writer shares.  Transports supply one small
-/// adapter — a `ByteSink` the writer appends the archive to (a growable
-/// Buffer for the in-memory transport, a FILE* for the streaming file
-/// transport).  The matching read-side core (`ChunkSource` + `ReaderCore`)
-/// lives in `archive/reader_core.hpp`.
+/// The write core of `fraz::archive`: the byte sinks a build appends to (a
+/// growable Buffer, or a file the sink owns) and the push-based archive
+/// assembler every build runs.  The matching read-side core (`ChunkSource` +
+/// `ReaderCore`) lives in `archive/reader_core.hpp`.
 ///
 /// The assembler is the engine behind both the push-based FieldSession API
-/// and the `write(ArrayView)` compatibility wrapper: callers push slabs, the
+/// and the single-array `write(ArrayView)` path: callers push slabs, the
 /// assembler stages exactly one chunk row per open field and dispatches each
 /// completed row into the parallel chunk pipeline, which admits rows under a
 /// bounded window (submitted-but-unemitted ≤ workers + 1) and emits payloads
@@ -20,6 +18,7 @@
 /// O(chunk-row × workers) however the data arrives.
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,23 +35,17 @@ namespace fraz::archive::detail {
 
 /// Writer-internal engines tune single-threaded: archive parallelism comes
 /// from chunks, and region-level cancellation races would otherwise make the
-/// chosen bound (and therefore the archive bytes) timing-dependent.  The one
-/// definition every transport shares.
+/// chosen bound (and therefore the archive bytes) timing-dependent.
 EngineConfig serial_tuning(EngineConfig config);
 
-/// Everything a writer must refuse at construction: unknown format
-/// versions, v1 with a backend the v1 manifest cannot name, and compressor
-/// names the v2/v3 manifests cannot record.  Shared by both writer
-/// constructors and by write_archive (for configs that bypassed a
-/// constructor).
-Status validate_write_config(const ArchiveWriteConfig& config) noexcept;
-
-/// Append-only destination of one archive write.
+/// Append-only destination of one archive build.
 class ByteSink {
 public:
   virtual ~ByteSink() = default;
-  /// Append \p size bytes; a non-ok Status aborts the write.
+  /// Append \p size bytes; a non-ok Status aborts the build.
   virtual Status append(const std::uint8_t* data, std::size_t size) noexcept = 0;
+  /// Flush and close the destination once the archive is complete.
+  virtual Status finish() noexcept = 0;
   /// Total bytes appended so far.
   virtual std::size_t bytes_written() const noexcept = 0;
 };
@@ -69,33 +62,61 @@ public:
       return status_from_current_exception();
     }
   }
+  Status finish() noexcept override { return Status(); }
   std::size_t bytes_written() const noexcept override { return out_.size(); }
 
 private:
   Buffer& out_;
 };
 
+/// Sink over a file it owns (the streaming file transport).  Failures
+/// capture errno at the failing call — fwrite for appends, fflush/fclose for
+/// finish() — so the returned Status carries the OS error detail instead of
+/// whatever a later library call left behind.  A sink destroyed before a
+/// successful finish() closes and removes its partial file: a half-written
+/// archive would fail open() anyway, and campaigns retry by path.
+class FileSink final : public ByteSink {
+public:
+  /// Create or truncate \p path; throws IoError carrying the OS detail.
+  static std::unique_ptr<FileSink> create(const std::string& path);
+
+  FileSink(std::FILE* file, std::string path) noexcept
+      : file_(file), path_(std::move(path)) {}
+  ~FileSink() override;
+
+  FileSink(const FileSink&) = delete;
+  FileSink& operator=(const FileSink&) = delete;
+
+  Status append(const std::uint8_t* data, std::size_t size) noexcept override;
+  /// Flush and close; on failure the partial file is removed.
+  Status finish() noexcept override;
+  std::size_t bytes_written() const noexcept override { return written_; }
+
+private:
+  std::FILE* file_;  ///< null once finished
+  std::string path_;
+  std::size_t written_ = 0;
+};
+
 class ChunkPipeline;
 
-/// Transport-independent build of one complete archive (any format version)
-/// through a ByteSink.  Fields are ingested one at a time: open_field()
-/// declares the geometry (and invalidates stale per-chunk warm keys),
-/// push() stages planes into the current chunk row and dispatches completed
-/// rows to the parallel pipeline, close_field() drains the field, finish()
-/// seals manifest + footer.  v1/v2 accept exactly one field; v1 buffers the
-/// chunk region internally because its manifest precedes the chunks on the
-/// wire.
+/// Transport-independent build of one complete v3 archive through a
+/// ByteSink.  Fields are ingested one at a time: open_field() declares the
+/// geometry (and invalidates stale per-chunk warm keys), push() stages
+/// planes into the current chunk row and dispatches completed rows to the
+/// parallel pipeline, close_field() drains the field, finish() appends the
+/// field-table manifest and footer.
 ///
 /// \p state carries the persistent warm knowledge between builds: the
 /// per-field chunk-0 tuning engine, the shared BoundStore of per-(field,
 /// chunk) warm bounds (every worker engine adopts it, each chunk
 /// reading/writing only its own deterministic key), and the shared probe
-/// dedup cache.  This is the single write path behind ArchiveWriter
-/// (in-memory) and ArchiveFileWriter (streaming).
+/// dedup cache.  This is the single write path behind ArchiveWriter, whatever
+/// sink it writes to.
 class ArchiveAssembler {
 public:
   ArchiveAssembler(const ArchiveWriteConfig& config, WriterWarmState& state,
-                   ByteSink& sink, std::uint8_t version);
+                   ByteSink& sink);
   ~ArchiveAssembler();
 
   ArchiveAssembler(const ArchiveAssembler&) = delete;
@@ -106,8 +127,6 @@ public:
   Result<FieldWriteReport> close_field() noexcept;
   Result<ArchiveWriteResult> finish() noexcept;
 
-  bool field_open() const noexcept { return open_ != nullptr; }
-
 private:
   struct OpenField;
 
@@ -117,11 +136,7 @@ private:
 
   const ArchiveWriteConfig config_;
   WriterWarmState& state_;
-  ByteSink* sink_;              ///< where the finished archive lands
-  ByteSink* chunk_sink_;        ///< where chunk payloads go (= sink_ except v1)
-  Buffer region_;               ///< v1 only: buffered chunk region
-  std::unique_ptr<BufferSink> region_sink_;
-  const std::uint8_t version_;
+  ByteSink& sink_;
   Timer timer_;
 
   std::unique_ptr<OpenField> open_;
@@ -138,14 +153,6 @@ private:
   bool finished_ = false;
   Status failed_;               ///< sticky: first failure poisons the build
 };
-
-/// Shards, tunes, compresses, and assembles one complete single-field
-/// archive (any format version) through \p sink — the compatibility path
-/// behind write(ArrayView), implemented as one ArchiveAssembler session fed
-/// the whole array under the default field name.
-Result<ArchiveWriteResult> write_archive(const ArchiveWriteConfig& config,
-                                         WriterWarmState& state, const ArrayView& data,
-                                         ByteSink& sink);
 
 }  // namespace fraz::archive::detail
 

@@ -3,19 +3,15 @@
 
 /// \file reader_core.hpp
 /// The shared decode core of `fraz::archive`: the ChunkSource positioned-read
-/// abstraction, the chunk decode/validate helpers, and ReaderCore — the one
-/// per-field dispatch (field lookup, chunk/range/whole-field reads) that
-/// every reader fronts.
-///
-/// Before this header the in-memory and file-backed readers each carried
-/// their own copy of the field_index + read_* dispatch block (~60 lines
-/// each); ReaderCore is that block extracted over (info, engines, source) so
-/// ArchiveReader, ArchiveFileReader, and the serve subsystem all run the
-/// same decode path.  ReaderCore is the *serial* path: it owns one Engine
-/// per field plus one fetch scratch and is not thread-safe (wrap access, or
-/// use serve::ReaderPool which checks engines out per decode).
+/// abstraction and its two byte sources (caller memory, a file), the chunk
+/// decode/validate helpers, and ReaderCore — the per-field dispatch (field
+/// lookup, chunk/range/whole-field reads) that ArchiveReader fronts and the
+/// serve subsystem shares.  ReaderCore is the *serial* path: it owns one
+/// Engine per field plus one fetch scratch and is not thread-safe (wrap
+/// access, or use serve::ReaderPool which checks engines out per decode).
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,12 +21,27 @@
 #include "util/buffer.hpp"
 #include "util/status.hpp"
 
+namespace fraz::archive {
+
+/// How ArchiveReader::open(path) accesses the file's bytes.
+enum class FileReadMode {
+  kAuto,      ///< mmap where the platform supports it, else buffered reads
+  kMmap,      ///< require mmap; open() fails where unavailable
+  kBuffered,  ///< portable positioned reads (also exercised by tests on POSIX)
+};
+
+}  // namespace fraz::archive
+
 namespace fraz::archive::detail {
 
 /// Positioned-read abstraction of one archive's bytes.
 class ChunkSource {
 public:
   virtual ~ChunkSource() = default;
+  /// Total bytes of the archive.
+  virtual std::size_t size() const noexcept = 0;
+  /// True when fetches are served from an mmap'd view of a file.
+  virtual bool mapped() const noexcept { return false; }
   /// Return a pointer to \p size bytes at absolute offset \p offset.
   /// Zero-copy transports ignore \p scratch and return into their own
   /// storage; buffered transports fill \p scratch and return its data.  The
@@ -45,6 +56,7 @@ class MemorySource final : public ChunkSource {
 public:
   MemorySource(const std::uint8_t* data, std::size_t size) noexcept
       : data_(data), size_(size) {}
+  std::size_t size() const noexcept override { return size_; }
   const std::uint8_t* fetch(std::size_t offset, std::size_t size,
                             Buffer& scratch) const override;
 
@@ -52,6 +64,10 @@ private:
   const std::uint8_t* data_;
   std::size_t size_;
 };
+
+/// Open \p path as a source: an mmap'd view, or positioned reads per
+/// \p mode.  Throws IoError / CorruptStream / Unsupported.
+std::unique_ptr<ChunkSource> open_file_source(const std::string& path, FileReadMode mode);
 
 /// Shape of chunk \p i of \p field ({extent_i, rest...}; last chunk short).
 Shape chunk_shape(const FieldInfo& field, std::size_t i);

@@ -10,12 +10,12 @@
 
 namespace fraz::serve {
 
-using archive::ArchiveFileReader;
+using archive::ArchiveReader;
 using archive::FieldInfo;
 
 // --------------------------------------------------------------- ReaderPool
 
-ReaderPool::ReaderPool(ArchiveFileReader reader, ReaderPoolConfig config,
+ReaderPool::ReaderPool(ArchiveReader reader, ReaderPoolConfig config,
                        ChunkCachePtr cache)
     : reader_(std::move(reader)),
       config_(std::move(config)),
@@ -44,7 +44,7 @@ ReaderPool::~ReaderPool() {
 Result<std::shared_ptr<ReaderPool>> ReaderPool::open(const std::string& path,
                                                      ReaderPoolConfig config) noexcept {
   try {
-    auto reader = ArchiveFileReader::open(path, config.mode);
+    auto reader = ArchiveReader::open(path);
     if (!reader.ok()) return reader.status();
     ChunkCachePtr cache = config.cache;
     if (!cache) cache = std::make_shared<ChunkCache>(config.cache_bytes);

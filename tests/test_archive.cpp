@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "codec/checksum.hpp"
 #include "data/datasets.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
@@ -42,7 +43,8 @@ ArchiveReader open_ok(const Buffer& bytes) {
   return std::move(reader).value();
 }
 
-/// Total bytes of the chunk region (== the v2 manifest offset).
+/// Total bytes of fields[0]'s chunks (== the manifest offset of a
+/// single-field v2/v3 archive).
 std::size_t region_bytes(const archive::ArchiveInfo& info) {
   std::size_t payload = 0;
   for (const auto& chunk : info.chunks) payload += chunk.size;
@@ -396,35 +398,76 @@ TEST(Archive, ZfpRateFallbackRescuesSmallChunkBand) {
   EXPECT_EQ(std::memcmp(rescued.data(), parallel.data(), rescued.size()), 0);
 }
 
-TEST(Archive, FormatV1StillWritableAndReadable) {
-  const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
-  ArchiveWriteConfig v1 = writer_config("sz", 6.0, 0.2, 2);
-  v1.format_version = 1;
-  Buffer v1_bytes, v2_bytes;
-  pack(field.view(), v1, v1_bytes);
-  pack(field.view(), writer_config("sz", 6.0, 0.2, 2), v2_bytes);
+TEST(Archive, FrozenFixturesDecodeToPinnedArrays) {
+  // Read compatibility forever: every checked-in v1/v2 archive still opens
+  // through the one reader, from memory and from a file (mmap and pread),
+  // and decodes to the exact array the pinned CRC recorded.
+  for (const testhelpers::ArchiveFixture& fixture : testhelpers::archive_fixtures()) {
+    SCOPED_TRACE(fixture.name);
+    const auto bytes = testhelpers::read_corpus(fixture.name);
+    ASSERT_EQ(bytes.size(), fixture.file_bytes);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), fixture.file_crc);
 
-  ArchiveReader reader = open_ok(v1_bytes);
-  EXPECT_EQ(reader.info().version, 1);
-  EXPECT_EQ(reader.info().compressor, "sz");
-  // v1 layout: the chunk region follows the manifest.
-  EXPECT_EQ(reader.info().chunk_region,
-            v1_bytes.size() - archive::kFooterBytesV1 - region_bytes(reader.info()));
-
-  // Same chunks, same bounds, same reconstruction — only the layout differs.
-  ArchiveReader v2_reader = open_ok(v2_bytes);
-  EXPECT_EQ(v2_reader.info().version, 2);
-  auto from_v1 = reader.read_all(2);
-  auto from_v2 = v2_reader.read_all(2);
-  ASSERT_TRUE(from_v1.ok());
-  ASSERT_TRUE(from_v2.ok());
-  ASSERT_EQ(from_v1.value().size_bytes(), from_v2.value().size_bytes());
-  EXPECT_EQ(std::memcmp(from_v1.value().data(), from_v2.value().data(),
-                        from_v1.value().size_bytes()),
-            0);
+    auto from_memory = ArchiveReader::open(bytes.data(), bytes.size());
+    auto from_mmap = ArchiveReader::open(testhelpers::corpus_path(fixture.name));
+    auto from_pread = ArchiveReader::open(testhelpers::corpus_path(fixture.name),
+                                          archive::FileReadMode::kBuffered);
+    for (auto* reader : {&from_memory, &from_mmap, &from_pread}) {
+      ASSERT_TRUE(reader->ok()) << reader->status().to_string();
+      const archive::ArchiveInfo& info = reader->value().info();
+      EXPECT_EQ(info.version, fixture.version);
+      EXPECT_EQ(info.compressor, fixture.compressor);
+      EXPECT_EQ(info.dtype, fixture.dtype);
+      EXPECT_EQ(info.shape, fixture.shape);
+      EXPECT_EQ(info.chunk_region, fixture.chunk_region);
+      EXPECT_EQ(region_bytes(info), fixture.region_bytes);
+      ASSERT_EQ(reader->value().fields().size(), 1u);
+      EXPECT_EQ(reader->value().fields()[0].name, archive::kDefaultFieldName);
+      for (const unsigned threads : {1u, 3u}) {
+        auto decoded = reader->value().read_all(threads);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+        EXPECT_EQ(crc32(static_cast<const std::uint8_t*>(decoded.value().data()),
+                        decoded.value().size_bytes()),
+                  fixture.decoded_crc)
+            << threads << " threads";
+      }
+    }
+  }
 }
 
-// A user plugin delegating to sz under a name the v1 format cannot record.
+TEST(Archive, FormatV1FixtureHoldsTheChunksAV3WriteEmits) {
+  // The v1 fixture and a fresh write of the same input differ only in
+  // layout: the chunk payloads (tuned bounds, compressed bytes) are the
+  // same, so the wire-format change cannot have moved the data.
+  const testhelpers::ArchiveFixture& fixture = testhelpers::archive_fixtures().front();
+  ASSERT_EQ(fixture.version, 1u);
+  const auto v1_bytes = testhelpers::read_corpus(fixture.name);
+  const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
+  Buffer v3_bytes;
+  const ArchiveWriteResult written =
+      pack(field.view(), writer_config("sz", 6.0, 0.2, 2), v3_bytes);
+  EXPECT_EQ(written.format_version, 3u);
+
+  auto v1_opened = ArchiveReader::open(v1_bytes.data(), v1_bytes.size());
+  ASSERT_TRUE(v1_opened.ok()) << v1_opened.status().to_string();
+  ArchiveReader v1 = std::move(v1_opened).value();
+  ArchiveReader v3 = open_ok(v3_bytes);
+  EXPECT_EQ(v1.info().version, 1);
+  EXPECT_EQ(v3.info().version, 3);
+  // v1 layout: the chunk region follows the manifest.
+  EXPECT_EQ(v1.info().chunk_region,
+            v1_bytes.size() - archive::kFooterBytesV1 - region_bytes(v1.info()));
+  ASSERT_EQ(region_bytes(v1.info()), region_bytes(v3.info()));
+  EXPECT_EQ(std::memcmp(v1_bytes.data() + v1.info().chunk_region, v3_bytes.data(),
+                        region_bytes(v3.info())),
+            0);
+  const NdArray from_v1 = v1.read_all(2).value();
+  const NdArray from_v3 = v3.read_all(2).value();
+  ASSERT_EQ(from_v1.size_bytes(), from_v3.size_bytes());
+  EXPECT_EQ(std::memcmp(from_v1.data(), from_v3.data(), from_v1.size_bytes()), 0);
+}
+
+// A user plugin delegating to sz under a name no built-in container id covers.
 class SzEchoPlugin final : public pressio::Compressor {
 public:
   SzEchoPlugin() : inner_(pressio::registry().create("sz")) {}
@@ -468,18 +511,11 @@ TEST(Archive, PluginBackendRoundTripsByName) {
   pack(field.view(), writer_config("sz-echo", 6.0, 0.2, 2), bytes);
 
   ArchiveReader reader = open_ok(bytes);
-  EXPECT_EQ(reader.info().version, 2);
+  EXPECT_EQ(reader.info().version, 3);
   EXPECT_EQ(reader.info().compressor, "sz-echo");
   auto decoded = reader.read_all(2);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded.value().shape(), field.shape());
-
-  // The v1 format has no way to name a plugin: rejected at construction.
-  ArchiveWriteConfig v1 = writer_config("sz-echo", 6.0, 0.2, 2);
-  v1.format_version = 1;
-  auto v1_writer = ArchiveWriter::create(std::move(v1));
-  ASSERT_FALSE(v1_writer.ok());
-  EXPECT_EQ(v1_writer.status().code(), StatusCode::kUnsupported);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 /// Push-based ingestion sessions and v3 multi-field archives: the byte-
-/// identity gates (write(ArrayView) vs PR-4 golden CRCs, plane-by-plane push
-/// vs whole-array write at any worker count), the streamed-input memory
-/// bound, the v3 field table round trip (mixed dtypes, per-field reads,
-/// truncation at every boundary), and the session-misuse error surface.
+/// identity gates (write(ArrayView) vs pinned v3 golden CRCs whose chunk
+/// regions equal the frozen v2 fixtures', plane-by-plane push vs whole-array
+/// write at any worker count), the streamed-input memory bound, the v3 field
+/// table round trip (mixed dtypes, per-field reads, truncation at every
+/// boundary), and the session-misuse error surface.
 
 #include <gtest/gtest.h>
 
@@ -12,19 +13,16 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "codec/checksum.hpp"
 #include "test_helpers.hpp"
 
 namespace fraz {
 namespace {
 
-using archive::ArchiveFileReader;
-using archive::ArchiveFileWriter;
 using archive::ArchiveReader;
+using archive::ArchiveWriter;
 using archive::ArchiveWriteConfig;
 using archive::ArchiveWriteResult;
-using archive::ArchiveWriter;
 using archive::FieldDesc;
 using archive::FieldSession;
 using archive::FieldWriteReport;
@@ -98,32 +96,52 @@ void dump(const std::string& path, const std::uint8_t* data, std::size_t size) {
   ASSERT_TRUE(os.good()) << path;
 }
 
-TEST(ArchiveFields, WriteMatchesPinnedPr4GoldenBytes) {
-  // The regression gate on the refactor: write(ArrayView) — now a thin
-  // wrapper over one push session — must produce byte-identical single-field
-  // v2 archives to the PR-4 pull-based pipeline.  The CRCs below were
-  // captured from the PR-4 build on these exact deterministic inputs.
+/// Write \p field through \p writer and check the single-field v3 archive
+/// against its pinned size and CRC, and its chunk region against the frozen
+/// v2 archive \p v2_fixture wrote for the same input: only the manifest and
+/// footer may differ between the formats, never a chunk byte.
+void expect_v3_golden(ArchiveWriter& writer, const NdArray& field,
+                      const std::string& v2_fixture, std::size_t size, std::uint32_t crc) {
+  Buffer out;
+  const auto written = writer.write(field.view(), out);
+  ASSERT_TRUE(written.ok()) << written.status().to_string();
+  EXPECT_EQ(written.value().format_version, 3u);
+  EXPECT_EQ(out.size(), size);
+  EXPECT_EQ(crc32(out.data(), out.size()), crc);
+
+  const testhelpers::ArchiveFixture& v2 = testhelpers::archive_fixture(v2_fixture);
+  const auto v2_bytes = testhelpers::read_corpus(v2.name);
+  ASSERT_EQ(v2_bytes.size(), v2.file_bytes);
+  auto reader = ArchiveReader::open(out.data(), out.size());
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  ASSERT_EQ(reader.value().fields()[0].payload_bytes, v2.region_bytes);
+  EXPECT_EQ(std::memcmp(out.data(), v2_bytes.data() + v2.chunk_region, v2.region_bytes), 0)
+      << "v3 chunk region differs from " << v2.name;
+}
+
+TEST(ArchiveFields, WriteMatchesPinnedV3GoldenBytes) {
+  // The regression gate on the write path: write(ArrayView) — one push
+  // session — produces these exact single-field v3 archives.  Their chunk
+  // regions are byte-identical to the frozen v2 goldens of the same inputs
+  // (tests/corpus/archive_format/v2_*.fraz), so retiring the v2 writer moved
+  // no compressed byte; the v3 manifest is 14 bytes longer (field name and
+  // per-field ratio).  The CRCs equal what a begin() session build of the
+  // same inputs wrote before write(ArrayView) switched to v3.
   {
     const NdArray field = make_field(DType::kFloat32, {24, 16, 12});
     ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2, 2));
-    Buffer out;
-    ASSERT_TRUE(writer.write(field.view(), out).ok());
-    EXPECT_EQ(out.size(), 3451u);
-    EXPECT_EQ(crc32(out.data(), out.size()), 0x8208fb7du);
+    expect_v3_golden(writer, field, "archive_format/v2_sz_f32_step0.fraz", 3465u,
+                     0x211e6bb9u);
     // A drifted second step through the SAME writer exercises the carried
     // warm bounds — the cross-write warm path must stay byte-identical too.
     const NdArray step1 = make_field(DType::kFloat32, {24, 16, 12}, 51.0);
-    ASSERT_TRUE(writer.write(step1.view(), out).ok());
-    EXPECT_EQ(out.size(), 3424u);
-    EXPECT_EQ(crc32(out.data(), out.size()), 0xe1792933u);
+    expect_v3_golden(writer, step1, "archive_format/v2_sz_f32_step1.fraz", 3438u,
+                     0x14595347u);
   }
   {
     const NdArray field = make_field(DType::kFloat64, {12, 20, 14});
     ArchiveWriter writer(writer_config("zfp", 8.0, 0.2, 3, 1));
-    Buffer out;
-    ASSERT_TRUE(writer.write(field.view(), out).ok());
-    EXPECT_EQ(out.size(), 3520u);
-    EXPECT_EQ(crc32(out.data(), out.size()), 0xbf6d43ffu);
+    expect_v3_golden(writer, field, "archive_format/v2_zfp_f64.fraz", 3534u, 0xed1c46a0u);
   }
 }
 
@@ -139,8 +157,7 @@ TEST(ArchiveFields, PlaneByPlanePushMatchesWholeArrayWrite) {
     for (const std::size_t slab_planes : {std::size_t{1}, std::size_t{3}, std::size_t{24}}) {
       ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2, threads));
       Buffer pushed;
-      // Sessions default to v3; request v2 to compare against write().
-      ASSERT_TRUE(writer.begin(pushed, 2).ok());
+      ASSERT_TRUE(writer.begin(pushed).ok());
       auto session = writer.open_field(archive::kDefaultFieldName, desc_of(field, 2));
       ASSERT_TRUE(session.ok()) << session.status().to_string();
       push_all(session.value(), field, slab_planes);
@@ -162,9 +179,9 @@ TEST(ArchiveFields, StreamedInputResidencyIsChunkRowBounded) {
   const NdArray field = make_field(DType::kFloat32, {64, 24, 16});
   const std::size_t row_bytes = 2 * (field.size_bytes() / 64);  // extent 2
   for (const unsigned threads : {1u, 4u}) {
-    ArchiveFileWriter writer(writer_config("sz", 8.0, 0.2, 2, threads));
+    ArchiveWriter writer(writer_config("sz", 8.0, 0.2, 2, threads));
     const std::string path = tmp.make("residency_" + std::to_string(threads));
-    ASSERT_TRUE(writer.begin(path, 2).ok());
+    ASSERT_TRUE(writer.begin(path).ok());
     auto session = writer.open_field("stream", desc_of(field, 2));
     ASSERT_TRUE(session.ok()) << session.status().to_string();
     push_all(session.value(), field, 1);  // one plane at a time
@@ -179,7 +196,7 @@ TEST(ArchiveFields, StreamedInputResidencyIsChunkRowBounded) {
         << "input residency is not o(field)";
     EXPECT_LE(result.peak_buffered_chunks, static_cast<std::size_t>(threads) + 1);
     // And the streamed file is readable.
-    auto reader = ArchiveFileReader::open(path);
+    auto reader = ArchiveReader::open(path);
     ASSERT_TRUE(reader.ok());
     EXPECT_EQ(reader.value().read_all(threads).value().shape(), field.shape());
   }
@@ -221,10 +238,10 @@ TEST(ArchiveFields, MultiFieldMixedDtypeRoundTripBothTransports) {
   EXPECT_EQ(std::memcmp(bytes_1.data(), bytes_4.data(), bytes_1.size()), 0)
       << "worker count changed the v3 archive bytes";
 
-  // File transport: same fields pushed through ArchiveFileWriter sessions.
+  // File sink: the same fields pushed through path-backed sessions.
   const std::string path = tmp.make("mixed");
   {
-    ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 0, 4));
+    ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 0, 4));
     ASSERT_TRUE(writer.begin(path).ok());
     auto t = writer.open_field("temp", desc_of(temp, 2));
     ASSERT_TRUE(t.ok());
@@ -244,7 +261,7 @@ TEST(ArchiveFields, MultiFieldMixedDtypeRoundTripBothTransports) {
   // Per-field reads through both readers.
   auto memory_reader = ArchiveReader::open(bytes_1.data(), bytes_1.size());
   ASSERT_TRUE(memory_reader.ok()) << memory_reader.status().to_string();
-  auto file_reader = ArchiveFileReader::open(path);
+  auto file_reader = ArchiveReader::open(path);
   ASSERT_TRUE(file_reader.ok()) << file_reader.status().to_string();
 
   ASSERT_EQ(memory_reader.value().fields().size(), 2u);
@@ -303,7 +320,7 @@ TEST(ArchiveFields, MultiFieldTruncationAtEveryBoundaryFailsOpen) {
   const std::string path = tmp.make("truncate");
   ArchiveWriteResult result;
   {
-    ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 2, 2));
+    ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2, 2));
     ASSERT_TRUE(writer.begin(path).ok());
     for (const NdArray* field : {&temp, &press}) {
       auto session = writer.open_field(field == &temp ? "temp" : "press",
@@ -333,7 +350,7 @@ TEST(ArchiveFields, MultiFieldTruncationAtEveryBoundaryFailsOpen) {
   for (const std::size_t keep : boundaries) {
     ASSERT_LT(keep, bytes.size());
     dump(cut, bytes.data(), keep);
-    auto reader = ArchiveFileReader::open(cut);
+    auto reader = ArchiveReader::open(cut);
     ASSERT_FALSE(reader.ok()) << "opened a " << keep << "-byte truncation";
     EXPECT_EQ(reader.status().code(), StatusCode::kCorruptStream) << keep;
   }
@@ -467,18 +484,6 @@ TEST(ArchiveFields, SessionMisuseSurfacesAsStatuses) {
   ASSERT_EQ(reader.value().fields().size(), 1u);
   EXPECT_EQ(reader.value().fields()[0].name, "x");
 
-  // A v2 build refuses a second field.
-  Buffer v2_out;
-  ASSERT_TRUE(writer.begin(v2_out, 2).ok());
-  auto first_v2 = writer.open_field("only", desc_of(field, 2));
-  ASSERT_TRUE(first_v2.ok());
-  push_all(first_v2.value(), field, 8);
-  ASSERT_TRUE(first_v2.value().close().ok());
-  auto second_v2 = writer.open_field("more", desc_of(field, 2));
-  ASSERT_FALSE(second_v2.ok());
-  EXPECT_NE(second_v2.status().message().find("exactly one field"), std::string::npos);
-  ASSERT_TRUE(writer.finish().ok());
-
   // A session outliving its build degrades to "closed" errors, not UB.
   Buffer abandoned;
   ASSERT_TRUE(writer.begin(abandoned).ok());
@@ -492,21 +497,24 @@ TEST(ArchiveFields, SessionMisuseSurfacesAsStatuses) {
 }
 
 TEST(ArchiveFields, V2ArchivesPresentOneSynthesizedField) {
-  // Old single-field archives surface through the new field API under the
+  // Old single-field archives surface through the field API under the
   // default name, so multi-field consumers need no version branches.
-  const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
-  Buffer bytes;
-  ArchiveWriter(writer_config("sz", 6.0, 0.2, 2)).write(field.view(), bytes).value();
-  auto reader = ArchiveReader::open(bytes.data(), bytes.size());
-  ASSERT_TRUE(reader.ok());
-  ASSERT_EQ(reader.value().fields().size(), 1u);
-  const archive::FieldInfo& info = reader.value().fields()[0];
-  EXPECT_EQ(info.name, archive::kDefaultFieldName);
-  EXPECT_EQ(info.shape, field.shape());
-  EXPECT_GT(info.payload_ratio, 0.0);
-  const NdArray by_name = reader.value().read_all(archive::kDefaultFieldName).value();
-  const NdArray by_index = reader.value().read_all().value();
-  EXPECT_EQ(std::memcmp(by_name.data(), by_index.data(), by_index.size_bytes()), 0);
+  for (const testhelpers::ArchiveFixture& fixture : testhelpers::archive_fixtures()) {
+    if (fixture.version != 2) continue;
+    SCOPED_TRACE(fixture.name);
+    const auto bytes = testhelpers::read_corpus(fixture.name);
+    auto reader = ArchiveReader::open(bytes.data(), bytes.size());
+    ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+    ASSERT_EQ(reader.value().fields().size(), 1u);
+    const archive::FieldInfo& info = reader.value().fields()[0];
+    EXPECT_EQ(info.name, archive::kDefaultFieldName);
+    EXPECT_EQ(info.shape, fixture.shape);
+    EXPECT_GT(info.payload_ratio, 0.0);
+    const NdArray by_name = reader.value().read_all(archive::kDefaultFieldName).value();
+    const NdArray by_index = reader.value().read_all().value();
+    ASSERT_EQ(by_name.size_bytes(), by_index.size_bytes());
+    EXPECT_EQ(std::memcmp(by_name.data(), by_index.data(), by_index.size_bytes()), 0);
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "archive/archive_file.hpp"
+#include "archive/archive.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,18 +8,16 @@
 #include <fstream>
 #include <vector>
 
-#include "archive/archive.hpp"
+#include "archive/pipeline.hpp"
 #include "test_helpers.hpp"
 
 namespace fraz {
 namespace {
 
-using archive::ArchiveFileReader;
-using archive::ArchiveFileWriter;
 using archive::ArchiveReader;
+using archive::ArchiveWriter;
 using archive::ArchiveWriteConfig;
 using archive::ArchiveWriteResult;
-using archive::ArchiveWriter;
 using archive::FileReadMode;
 using testhelpers::make_field;
 
@@ -67,42 +65,107 @@ void dump(const std::string& path, const std::uint8_t* data, std::size_t size) {
 
 ArchiveWriteResult pack_file(const ArrayView& data, ArchiveWriteConfig config,
                              const std::string& path) {
-  ArchiveFileWriter writer(std::move(config));
+  ArchiveWriter writer(std::move(config));
   auto written = writer.write(path, data);
   EXPECT_TRUE(written.ok()) << written.status().to_string();
   return std::move(written).value();
 }
 
-ArchiveFileReader open_file_ok(const std::string& path,
+ArchiveReader open_file_ok(const std::string& path,
                                FileReadMode mode = FileReadMode::kAuto) {
-  auto reader = ArchiveFileReader::open(path, mode);
+  auto reader = ArchiveReader::open(path, mode);
   EXPECT_TRUE(reader.ok()) << reader.status().to_string();
   return std::move(reader).value();
 }
 
+bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
+
 TEST(ArchiveFile, FileAndMemoryPacksAreByteIdentical) {
-  // The shared-pipeline contract: the streaming file transport and the
-  // in-memory transport produce the same bytes, at any worker count.
+  // The one-writer contract: a build into a Buffer and a build streamed to
+  // a path produce the same bytes, at any worker count — for write(view)
+  // and for a multi-field session build alike.
   TempFiles tmp;
   const NdArray field = make_field(DType::kFloat32, {24, 16, 12});
-  Buffer memory_1, memory_4;
-  ArchiveWriter(writer_config("sz", 6.0, 0.2, 2, 1)).write(field.view(), memory_1).value();
-  ArchiveWriter(writer_config("sz", 6.0, 0.2, 2, 4)).write(field.view(), memory_4).value();
+  const NdArray press = make_field(DType::kFloat64, {12, 20, 14}, 30.0);
+  auto build = [&](ArchiveWriter& writer, auto& sink) {
+    ASSERT_TRUE(writer.begin(sink).ok());
+    for (const NdArray* f : {&field, &press}) {
+      archive::FieldDesc desc{f->dtype(), f->shape(), 3};
+      auto session = writer.open_field(f == &field ? "temp" : "press", desc);
+      ASSERT_TRUE(session.ok()) << session.status().to_string();
+      ASSERT_TRUE(session.value().push(f->view()).ok());
+      ASSERT_TRUE(session.value().close().ok());
+    }
+    ASSERT_TRUE(writer.finish().ok());
+  };
 
-  const std::string path_1 = tmp.make("identity_1");
-  const std::string path_4 = tmp.make("identity_4");
-  pack_file(field.view(), writer_config("sz", 6.0, 0.2, 2, 1), path_1);
-  pack_file(field.view(), writer_config("sz", 6.0, 0.2, 2, 4), path_4);
+  std::vector<std::uint8_t> single_reference, multi_reference;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " workers");
+    Buffer memory;
+    ArchiveWriter(writer_config("sz", 6.0, 0.2, 2, threads)).write(field.view(), memory).value();
+    const std::string path = tmp.make("identity_" + std::to_string(threads));
+    pack_file(field.view(), writer_config("sz", 6.0, 0.2, 2, threads), path);
+    const auto file = slurp(path);
+    ASSERT_EQ(file.size(), memory.size());
+    EXPECT_EQ(std::memcmp(file.data(), memory.data(), file.size()), 0)
+        << "file-backed pack differs from the in-memory pack";
+    if (single_reference.empty()) single_reference = file;
+    EXPECT_EQ(file, single_reference) << "worker count changed the file bytes";
 
-  const auto file_1 = slurp(path_1);
-  const auto file_4 = slurp(path_4);
-  ASSERT_EQ(file_1.size(), memory_1.size());
-  EXPECT_EQ(std::memcmp(file_1.data(), memory_1.data(), file_1.size()), 0)
-      << "file-backed pack differs from the in-memory pack (1 worker)";
-  ASSERT_EQ(file_4.size(), memory_4.size());
-  EXPECT_EQ(std::memcmp(file_4.data(), memory_4.data(), file_4.size()), 0)
-      << "file-backed pack differs from the in-memory pack (4 workers)";
-  EXPECT_EQ(file_1, file_4) << "worker count changed the file bytes";
+    Buffer multi_memory;
+    const std::string multi_path = tmp.make("identity_multi_" + std::to_string(threads));
+    ArchiveWriter memory_writer(writer_config("sz", 6.0, 0.2, 0, threads));
+    build(memory_writer, multi_memory);
+    ArchiveWriter file_writer(writer_config("sz", 6.0, 0.2, 0, threads));
+    build(file_writer, multi_path);
+    const auto multi_file = slurp(multi_path);
+    ASSERT_EQ(multi_file.size(), multi_memory.size());
+    EXPECT_EQ(std::memcmp(multi_file.data(), multi_memory.data(), multi_file.size()), 0)
+        << "file-backed session build differs from the in-memory one";
+    if (multi_reference.empty()) multi_reference = multi_file;
+    EXPECT_EQ(multi_file, multi_reference) << "worker count changed the session bytes";
+  }
+}
+
+TEST(ArchiveFile, AbandonedPathBuildLeavesNoFile) {
+  // A path build that never finishes — cancelled, its writer destroyed, or
+  // its writer overwritten by move-assignment, each mid-field with chunks in
+  // flight — closes and removes its partial file.
+  TempFiles tmp;
+  const NdArray field = make_field(DType::kFloat32, {16, 12, 10});
+  const archive::FieldDesc desc{field.dtype(), field.shape(), 2};
+  auto start_mid_field = [&](ArchiveWriter& writer, const std::string& path) {
+    ASSERT_TRUE(writer.begin(path).ok());
+    ASSERT_TRUE(file_exists(path));
+    auto session = writer.open_field("partial", desc);
+    ASSERT_TRUE(session.ok()) << session.status().to_string();
+    Shape slab = field.shape();
+    slab[0] = 7;  // three full chunk rows dispatched, one row half staged
+    ASSERT_TRUE(session.value().push(ArrayView(field.data(), field.dtype(), slab)).ok());
+  };
+
+  const std::string cancelled = tmp.make("abandon_cancel");
+  ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2, 2));
+  start_mid_field(writer, cancelled);
+  writer.cancel();
+  EXPECT_FALSE(file_exists(cancelled));
+
+  const std::string destroyed = tmp.make("abandon_destroy");
+  {
+    ArchiveWriter doomed(writer_config("sz", 6.0, 0.2, 2, 4));
+    start_mid_field(doomed, destroyed);
+  }
+  EXPECT_FALSE(file_exists(destroyed));
+
+  const std::string replaced = tmp.make("abandon_replace");
+  start_mid_field(writer, replaced);
+  writer = ArchiveWriter(writer_config("sz", 6.0, 0.2, 2, 1));
+  EXPECT_FALSE(file_exists(replaced));
+
+  // The writer stays usable: a later build at the same path completes.
+  pack_file(field.view(), writer_config("sz", 6.0, 0.2, 2, 1), replaced);
+  EXPECT_TRUE(ArchiveReader::open(replaced).ok());
 }
 
 TEST(ArchiveFile, RoundTripThroughMmapAndBufferedReads) {
@@ -118,7 +181,7 @@ TEST(ArchiveFile, RoundTripThroughMmapAndBufferedReads) {
   const NdArray expected = memory_reader.value().read_all().value();
 
   for (const FileReadMode mode : {FileReadMode::kAuto, FileReadMode::kBuffered}) {
-    ArchiveFileReader reader = open_file_ok(path, mode);
+    ArchiveReader reader = open_file_ok(path, mode);
     EXPECT_EQ(reader.info().compressor, "sz");
     EXPECT_EQ(reader.info().shape, field.shape());
 #if defined(__unix__) || defined(__APPLE__)
@@ -170,7 +233,7 @@ TEST(ArchiveFile, TruncationAtEverySectionBoundaryFailsOpen) {
   for (const std::size_t keep : boundaries) {
     ASSERT_LT(keep, bytes.size());
     dump(cut, bytes.data(), keep);
-    auto reader = ArchiveFileReader::open(cut);
+    auto reader = ArchiveReader::open(cut);
     ASSERT_FALSE(reader.ok()) << "opened a " << keep << "-byte truncation";
     EXPECT_EQ(reader.status().code(), StatusCode::kCorruptStream) << keep;
   }
@@ -193,7 +256,7 @@ TEST(ArchiveFile, WriterBuffersAtMostWorkersPlusOneChunkPayloads) {
     // Buffered payload bytes stay a small fraction of the raw input (the
     // window times one compressed chunk), even though raw >> peak.
     EXPECT_LT(result.peak_buffered_bytes, result.raw_bytes / 4) << threads;
-    auto reader = ArchiveFileReader::open(path);
+    auto reader = ArchiveReader::open(path);
     ASSERT_TRUE(reader.ok()) << reader.status().to_string();
     auto decoded = reader.value().read_all(threads);
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
@@ -216,7 +279,7 @@ TEST(ArchiveFile, CorruptChunkFailsOnlyReadsTouchingIt) {
   dump(bad, bytes.data(), bytes.size());
 
   for (const FileReadMode mode : {FileReadMode::kAuto, FileReadMode::kBuffered}) {
-    ArchiveFileReader reader = open_file_ok(bad, mode);
+    ArchiveReader reader = open_file_ok(bad, mode);
     EXPECT_TRUE(reader.read_chunk(0).ok());
     auto corrupted = reader.read_chunk(1);
     ASSERT_FALSE(corrupted.ok());
@@ -228,21 +291,17 @@ TEST(ArchiveFile, CorruptChunkFailsOnlyReadsTouchingIt) {
 }
 
 TEST(ArchiveFile, V1ArchivesReadableThroughTheFileReader) {
-  TempFiles tmp;
-  const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
-  ArchiveWriteConfig v1 = writer_config("sz", 6.0, 0.2, 2);
-  v1.format_version = 1;
-  Buffer v1_bytes;
-  ArchiveWriter(v1).write(field.view(), v1_bytes).value();
-  const std::string path = tmp.make("v1");
-  dump(path, v1_bytes.data(), v1_bytes.size());
-
+  const testhelpers::ArchiveFixture& fixture =
+      testhelpers::archive_fixture("archive_format/v1_sz_f32.fraz");
+  const std::string path = testhelpers::corpus_path(fixture.name);
   for (const FileReadMode mode : {FileReadMode::kAuto, FileReadMode::kBuffered}) {
-    ArchiveFileReader reader = open_file_ok(path, mode);
+    ArchiveReader reader = open_file_ok(path, mode);
     EXPECT_EQ(reader.info().version, 1);
     auto decoded = reader.read_all(2);
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-    EXPECT_EQ(decoded.value().shape(), field.shape());
+    EXPECT_EQ(decoded.value().shape(), fixture.shape);
+    for (std::size_t i = 0; i < reader.info().chunk_count; ++i)
+      EXPECT_TRUE(reader.read_chunk(i).ok()) << i;
   }
 }
 
@@ -255,10 +314,9 @@ TEST(ArchiveFile, SinkFailuresCarryTheOsErrorDetail) {
   dump(path, reinterpret_cast<const std::uint8_t*>("seed"), 4);
   std::FILE* readonly = std::fopen(path.c_str(), "rb");
   ASSERT_NE(readonly, nullptr);
-  archive::detail::FileSink sink(readonly);
+  archive::detail::FileSink sink(readonly, path);  // owns the stream now
   const std::uint8_t byte = 0x42;
   const Status s = sink.append(&byte, 1);
-  std::fclose(readonly);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   EXPECT_NE(s.message().find(std::strerror(EBADF)), std::string::npos)
@@ -268,13 +326,13 @@ TEST(ArchiveFile, SinkFailuresCarryTheOsErrorDetail) {
 
 TEST(ArchiveFile, WriteFailureLeavesNoPartialFile) {
   const NdArray field = make_field(DType::kFloat32, {6, 10, 8});
-  ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 2));
+  ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2));
   // A directory is not a writable file target.
   auto written = writer.write(".", field.view());
   ASSERT_FALSE(written.ok());
   EXPECT_EQ(written.status().code(), StatusCode::kIoError);
   // Opening a missing path reports IoError, not a crash or CorruptStream.
-  auto missing = ArchiveFileReader::open("fraz_test_definitely_missing.tmp");
+  auto missing = ArchiveReader::open("fraz_test_definitely_missing.tmp");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
 }
@@ -285,12 +343,12 @@ TEST(ArchiveFile, StreamedWriterWarmStartsAcrossWrites) {
   TempFiles tmp;
   const NdArray step0 = make_field(DType::kFloat32, {8, 16, 12}, 50.0);
   const NdArray step1 = make_field(DType::kFloat32, {8, 16, 12}, 51.0);
-  ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 2));
+  ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2));
   const std::string path0 = tmp.make("series_0");
   const std::string path1 = tmp.make("series_1");
   const ArchiveWriteResult first = pack_file(step0.view(), writer.config(), path0);
   (void)first;
-  ArchiveFileWriter series_writer(writer_config("sz", 6.0, 0.2, 2));
+  ArchiveWriter series_writer(writer_config("sz", 6.0, 0.2, 2));
   auto r0 = series_writer.write(path0, step0.view());
   ASSERT_TRUE(r0.ok());
   auto r1 = series_writer.write(path1, step1.view());

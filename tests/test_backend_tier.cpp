@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "core/loss.hpp"
 #include "data/datasets.hpp"
 #include "engine/engine.hpp"
@@ -21,9 +20,8 @@
 namespace fraz {
 namespace {
 
-using archive::ArchiveFileWriter;
-using archive::ArchiveWriteConfig;
 using archive::ArchiveWriter;
+using archive::ArchiveWriteConfig;
 using testhelpers::make_field;
 
 ArchiveWriteConfig writer_config(const std::string& backend, double target, double epsilon,
@@ -120,7 +118,7 @@ void check_worker_invariance(const std::string& backend, double target) {
 
   // The streaming file transport shares the pipeline: same bytes again.
   const std::string path = tmp.make(backend);
-  ArchiveFileWriter file_writer(writer_config(backend, target, 0.2, 2, 4));
+  ArchiveWriter file_writer(writer_config(backend, target, 0.2, 2, 4));
   const auto written = file_writer.write(path, field.view());
   ASSERT_TRUE(written.ok()) << written.status().to_string();
   const auto file_bytes = slurp(path);

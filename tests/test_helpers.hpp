@@ -6,6 +6,11 @@
 /// scalar types, plus error measurement helpers.
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "ndarray/ndarray.hpp"
@@ -49,6 +54,63 @@ inline double mean_squared_error(const NdArray& a, const NdArray& b) {
     s += d * d;
   }
   return s / static_cast<double>(a.elements());
+}
+
+/// Path of a checked-in file under tests/corpus/.
+inline std::string corpus_path(const std::string& rel) {
+  return std::string(FRAZ_TEST_CORPUS_DIR) + "/" + rel;
+}
+
+/// Bytes of a checked-in file under tests/corpus/ (empty when missing).
+inline std::vector<std::uint8_t> read_corpus(const std::string& rel) {
+  std::ifstream in(corpus_path(rel), std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// One frozen read-compat archive in tests/corpus/archive_format/.  No
+/// writer emits v1 or v2 any more; these files were written by the last
+/// writers that did, and each is pinned by the CRC-32 of its file bytes and
+/// of its decoded array, so the read path can never drift.
+struct ArchiveFixture {
+  const char* name;            ///< path under tests/corpus/
+  unsigned version;            ///< on-disk format version
+  const char* compressor;
+  DType dtype;
+  Shape shape;
+  std::size_t file_bytes;
+  std::uint32_t file_crc;
+  std::uint32_t decoded_crc;   ///< CRC-32 of read_all()'s bytes
+  std::size_t chunk_region;    ///< offset of the chunk region
+  std::size_t region_bytes;    ///< bytes of the chunk region
+};
+
+/// Every frozen v1/v2 fixture.  The sz/zfp ones are the inputs of the
+/// archive tests: v1_sz_f32 packs make_field(f32, {8, 14, 10}) with sz at
+/// ratio 6, ε 0.2, extent 2; the v2 trio are the single-field golden
+/// archives (sz f32 {24, 16, 12} at ratio 6, ε 0.2, extent 2, 2 workers,
+/// then a drifted step at amplitude 51 through the same writer; zfp f64
+/// {12, 20, 14} at ratio 8, ε 0.2, extent 3).
+inline const std::vector<ArchiveFixture>& archive_fixtures() {
+  static const std::vector<ArchiveFixture> fixtures{
+      {"archive_format/v1_sz_f32.fraz", 1, "sz", DType::kFloat32, {8, 14, 10}, 983,
+       0xd6940aaeu, 0x5b95f475u, 102, 841},
+      {"archive_format/v2_sz_f32_step0.fraz", 2, "sz", DType::kFloat32, {24, 16, 12}, 3451,
+       0x8208fb7du, 0xdd33525du, 0, 3177},
+      {"archive_format/v2_sz_f32_step1.fraz", 2, "sz", DType::kFloat32, {24, 16, 12}, 3424,
+       0xe1792933u, 0x61e89f0bu, 0, 3150},
+      {"archive_format/v2_zfp_f64.fraz", 2, "zfp", DType::kFloat64, {12, 20, 14}, 3520,
+       0xbf6d43ffu, 0x4de9ce0bu, 0, 3373},
+      {"archive_format/archive_v2.fraz", 2, "truncate", DType::kFloat32, {6, 8, 4}, 468,
+       0xb27c452fu, 0xb3edff32u, 0, 348},
+  };
+  return fixtures;
+}
+
+/// The fixture at \p name (a path under tests/corpus/); aborts when absent.
+inline const ArchiveFixture& archive_fixture(const std::string& name) {
+  for (const ArchiveFixture& fixture : archive_fixtures())
+    if (name == fixture.name) return fixture;
+  std::abort();
 }
 
 }  // namespace fraz::testhelpers

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "codec/checksum.hpp"
 #include "compressors/sz/sz.hpp"
 #include "pressio/registry.hpp"
@@ -268,7 +267,7 @@ TEST(SzBlocked, FileTransportMatchesBufferTransport) {
 
   const std::string path = "fraz_test_sz_blocked_transport.tmp";
   for (const unsigned threads : {1u, 4u}) {
-    archive::ArchiveFileWriter writer(blocked_writer_config(8.0, 3, threads));
+    archive::ArchiveWriter writer(blocked_writer_config(8.0, 3, threads));
     ASSERT_TRUE(writer.write(path, field.view()).ok());
     std::ifstream is(path, std::ios::binary | std::ios::ate);
     ASSERT_TRUE(is.good());

@@ -200,7 +200,6 @@ ParsedArchive build_v3_archive() {
   config.engine.tuner.epsilon = 0.3;
   config.chunk_extent = 3;
   config.threads = 1;
-  config.format_version = archive::kFormatVersionMultiField;
   archive::ArchiveWriter writer(std::move(config));
   Buffer packed;
   auto written = writer.write(field.view(), packed);
@@ -231,8 +230,7 @@ std::vector<std::uint8_t> splice_manifest(const ParsedArchive& parsed,
   Buffer footer;
   const std::uint64_t total = parsed.footer.manifest_offset + manifest.size() +
                               archive::kFooterBytes;
-  archive::encode_footer(archive::kFormatVersionMultiField,
-                         parsed.footer.manifest_offset, manifest.size(),
+  archive::encode_footer(parsed.footer.manifest_offset, manifest.size(),
                          parsed.footer.raw_bytes, total,
                          parsed.footer.achieved_ratio, footer);
   out.insert(out.end(), footer.begin(), footer.end());
@@ -285,9 +283,17 @@ TEST(UntrustedArchive, GapInChunkTilingRejectedAtOpen) {
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruptStream);
 }
 
+/// Every checked-in archive: the v3 fuzz seed plus the frozen v1/v2
+/// read-compat fixtures.
+std::vector<std::string> corpus_archives() {
+  std::vector<std::string> names{"archive_format/archive_v3.fraz"};
+  for (const testhelpers::ArchiveFixture& fixture : testhelpers::archive_fixtures())
+    names.push_back(fixture.name);
+  return names;
+}
+
 TEST(UntrustedArchive, CorpusArchivesOpenAndTruncationsFail) {
-  for (const char* name :
-       {"archive_format/archive_v2.fraz", "archive_format/archive_v3.fraz"}) {
+  for (const std::string& name : corpus_archives()) {
     const auto bytes = read_corpus_file(name);
     auto reader = archive::ArchiveReader::open(bytes.data(), bytes.size());
     ASSERT_TRUE(reader.ok()) << name << ": " << reader.status().to_string();
@@ -299,6 +305,49 @@ TEST(UntrustedArchive, CorpusArchivesOpenAndTruncationsFail) {
       auto bad = archive::ArchiveReader::open(bytes.data(), len);
       EXPECT_FALSE(bad.ok()) << name << " truncated to " << len << " accepted";
     }
+  }
+}
+
+TEST(UntrustedArchive, EveryFormatFailsClosedUnderTruncationAndBitFlips) {
+  // v1, v2 and v3 alike: every byte of an archive sits under some CRC
+  // (footer, manifest or chunk), so every proper prefix must fail open()
+  // and every single-bit flip must fail open() or the read that covers it —
+  // never decode to different data, never crash.
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> archives;
+  for (const std::string& name : corpus_archives())
+    archives.emplace_back(name, read_corpus_file(name));
+  const ParsedArchive fresh = build_v3_archive();
+  archives.emplace_back("fresh v3 write", fresh.bytes);
+
+  for (const auto& [name, bytes] : archives) {
+    SCOPED_TRACE(name);
+    auto pristine = archive::ArchiveReader::open(bytes.data(), bytes.size());
+    ASSERT_TRUE(pristine.ok()) << pristine.status().to_string();
+    ASSERT_TRUE(pristine.value().read_all().ok());
+
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      auto cut = archive::ArchiveReader::open(bytes.data(), len);
+      ASSERT_FALSE(cut.ok()) << "opened a " << len << "-byte truncation";
+      EXPECT_EQ(cut.status().code(), StatusCode::kCorruptStream) << len;
+    }
+
+    std::vector<std::uint8_t> mutated = bytes;
+    for (std::size_t byte = 0; byte < mutated.size(); ++byte) {
+      const auto mask = static_cast<std::uint8_t>(1u << (byte % 8));
+      mutated[byte] ^= mask;
+      auto reader = archive::ArchiveReader::open(mutated.data(), mutated.size());
+      if (reader.ok()) {
+        auto decoded = reader.value().read_all();
+        EXPECT_FALSE(decoded.ok()) << "flip at byte " << byte << " went undetected";
+        if (!decoded.ok()) {
+          EXPECT_EQ(decoded.status().code(), StatusCode::kCorruptStream) << byte;
+        }
+      } else {
+        EXPECT_EQ(reader.status().code(), StatusCode::kCorruptStream) << byte;
+      }
+      mutated[byte] ^= mask;
+    }
+    EXPECT_EQ(mutated, bytes);
   }
 }
 

@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "core/quality_tuner.hpp"
 #include "core/serialize.hpp"
 #include "core/tuner.hpp"
@@ -491,7 +490,7 @@ FieldSpec parse_field_spec(const std::string& spec, const Cli& cli) {
 /// chunk-row-sized slabs — no field is ever fully resident, in memory terms
 /// the pack is O(chunk-row x workers) end to end.
 int cmd_pack_fields(const Cli& cli, const std::vector<std::string>& specs) {
-  auto writer = archive::ArchiveFileWriter::create(pack_config(cli));
+  auto writer = archive::ArchiveWriter::create(pack_config(cli));
   if (!writer.ok()) throw_status(writer.status());
   load_bounds(cli, writer.value());
   Status s = writer.value().begin(cli.get_string("output"));
@@ -531,7 +530,7 @@ int cmd_pack(const Cli& cli) {
   // Stream the archive straight to disk: chunks are written as their
   // compression tasks finish, so peak memory is O(chunk x workers) — the
   // archive itself is never resident.
-  auto writer = archive::ArchiveFileWriter::create(pack_config(cli));
+  auto writer = archive::ArchiveWriter::create(pack_config(cli));
   if (!writer.ok()) throw_status(writer.status());
   load_bounds(cli, writer.value());
   const auto written = writer.value().write(cli.get_string("output"), field.view());
@@ -543,7 +542,7 @@ int cmd_pack(const Cli& cli) {
 int cmd_unpack(const Cli& cli) {
   // Positioned reads only: open() validates just the manifest and footer;
   // chunk payloads are fetched (mmap or buffered) as requests touch them.
-  auto reader = archive::ArchiveFileReader::open(cli.get_string("input"));
+  auto reader = archive::ArchiveReader::open(cli.get_string("input"));
   if (!reader.ok()) throw_status(reader.status());
   const auto threads = static_cast<unsigned>(cli.get_int("threads"));
 
@@ -633,7 +632,7 @@ int cmd_serve(const Cli& cli) {
 int cmd_info(const Cli& cli) {
   // Only the manifest and footer are read — info on a TB-scale archive
   // touches KBs of the file.
-  auto reader = archive::ArchiveFileReader::open(cli.get_string("input"));
+  auto reader = archive::ArchiveReader::open(cli.get_string("input"));
   if (!reader.ok()) throw_status(reader.status());
   const archive::ArchiveInfo& info = reader.value().info();
 
