@@ -41,10 +41,11 @@
 /// flipped bit in chunk i fails exactly the reads that cover chunk i.
 ///
 /// Determinism: chunk boundaries depend only on (shape, dtype, chunk_extent),
-/// every chunk warm-starts from the same chunk-0 bound, and tuning inside the
-/// writer is forced single-threaded — so packing with 1 worker and N workers
-/// yields byte-identical archives, whether the data arrived as one array or
-/// plane by plane.
+/// every chunk warm-starts from the same chunk-0 bound, and every tuning pass
+/// (the lockstep region search, the serial local refinement) picks the same
+/// bound at any thread count — so packing with 1 worker and N workers yields
+/// byte-identical archives, whether the data arrived as one array or plane
+/// by plane.
 
 #include <cstdint>
 #include <map>
@@ -70,9 +71,9 @@ class ByteSink;
 struct ArchiveWriteConfig {
   /// Backend + tuning knobs; engine.tuner.target_ratio/epsilon define the
   /// archive-level acceptance band.  Tuner thread parallelism is forced to 1
-  /// inside the writer — archive parallelism comes from chunks, and a
-  /// single-threaded tune keeps the chosen bounds (and therefore the archive
-  /// bytes) independent of worker count.
+  /// inside the writer — archive parallelism comes from chunks (see
+  /// detail::serial_tuning).  Tuned bounds do not depend on the tuner's
+  /// thread count, so it never changes the archive bytes.
   EngineConfig engine;
   /// Slowest-axis planes per chunk; 0 picks a policy from the shape alone
   /// (~16 chunks, at least 4 KiB of raw data each).  Per-field overrides go
@@ -111,7 +112,8 @@ struct ChunkReport {
   double ratio = 0;           ///< raw/compressed of this chunk alone
   double seconds = 0;         ///< wall time of this chunk's compression task
   bool warm = false;          ///< served by the shared warm-start bound
-  bool retrained = false;     ///< chunk paid full training
+  bool refined = false;       ///< warm bound missed; local refinement landed
+  bool retrained = false;     ///< chunk paid global training
   bool in_band = false;       ///< chunk ratio inside the band (informational)
   bool rate_fallback = false; ///< rescued by the ZFP fixed-rate fallback
 };
@@ -128,6 +130,7 @@ struct FieldWriteReport {
   double payload_ratio = 0;       ///< raw / payload — the manifest's per-field ratio
   bool in_band = false;           ///< payload_ratio within the band (informational)
   std::size_t warm_chunks = 0;
+  std::size_t refined_chunks = 0;
   std::size_t retrained_chunks = 0;
   std::size_t rate_fallback_chunks = 0;
   std::vector<ChunkReport> chunks;  ///< offsets absolute within the chunk region
@@ -145,6 +148,7 @@ struct ArchiveWriteResult {
   double achieved_ratio = 0;  ///< raw / archive — the footer's aggregate ratio
   bool in_band = false;       ///< aggregate ratio within ρt(1±ε)
   std::size_t warm_chunks = 0;
+  std::size_t refined_chunks = 0;
   std::size_t retrained_chunks = 0;
   std::size_t rate_fallback_chunks = 0;
   /// Compressor probes actually spent tuning this write (chunk-0 training

@@ -33,6 +33,11 @@ telemetry::Counter& warm_chunks_counter() {
   return c;
 }
 
+telemetry::Counter& refined_chunks_counter() {
+  static telemetry::Counter& c = telemetry::global().counter("pack.refined_chunks");
+  return c;
+}
+
 telemetry::Counter& retrained_chunks_counter() {
   static telemetry::Counter& c = telemetry::global().counter("pack.retrained_chunks");
   return c;
@@ -396,12 +401,14 @@ private:
         report.ratio = head.ratio;
         report.seconds = head.seconds;
         report.warm = head.outcome.warm;
+        report.refined = head.outcome.refined;
         report.retrained = head.outcome.retrained;
         report.rate_fallback = head.rate_fallback;
         report.in_band = ratio_acceptable(report.ratio, config_.engine.tuner.target_ratio,
                                           config_.engine.tuner.epsilon);
         chunks_counter().add();
         if (report.warm) warm_chunks_counter().add();
+        if (report.refined) refined_chunks_counter().add();
         if (report.retrained) retrained_chunks_counter().add();
         if (report.rate_fallback) rate_fallback_counter().add();
         Status sink_status;
@@ -704,6 +711,7 @@ Result<FieldWriteReport> ArchiveAssembler::close_field() noexcept {
                                       config_.engine.tuner.epsilon);
     for (const ChunkReport& chunk : outcome.chunks) {
       report.warm_chunks += chunk.warm;
+      report.refined_chunks += chunk.refined;
       report.retrained_chunks += chunk.retrained;
       report.rate_fallback_chunks += chunk.rate_fallback;
     }
@@ -767,6 +775,7 @@ Result<ArchiveWriteResult> ArchiveAssembler::finish() noexcept {
                                       config_.engine.tuner.epsilon);
     for (const FieldWriteReport& report : reports_) {
       result.warm_chunks += report.warm_chunks;
+      result.refined_chunks += report.refined_chunks;
       result.retrained_chunks += report.retrained_chunks;
       result.rate_fallback_chunks += report.rate_fallback_chunks;
     }

@@ -14,6 +14,7 @@ void OnlineTuner::commit(const StepOutcome& outcome) {
 
   ++stats_.frames;
   stats_.retrains += outcome.retrained;
+  stats_.refines += outcome.result.refined;
   stats_.frames_in_band += outcome.result.feasible;
   stats_.total_compress_calls += outcome.result.compress_calls;
   stats_.probe_cache_hits += outcome.result.probe_cache_hits;
@@ -26,7 +27,7 @@ void OnlineTuner::commit(const StepOutcome& outcome) {
 StepOutcome OnlineTuner::push(const ArrayView& frame) {
   StepOutcome outcome;
   outcome.result = tuner_.tune_with_prediction(frame, prediction_);
-  outcome.retrained = !outcome.result.from_prediction;
+  outcome.retrained = !outcome.result.from_prediction && !outcome.result.refined;
   commit(outcome);
   return outcome;
 }
@@ -34,7 +35,7 @@ StepOutcome OnlineTuner::push(const ArrayView& frame) {
 Status OnlineTuner::push_into(const ArrayView& frame, Buffer& out, StepOutcome* outcome) {
   try {
     const TunerConfig& cfg = tuner_.config();
-    bool drift_probe = false;  // warm archive missed the band
+    StepOutcome step;
 
     // Warm path: compress at the carried bound and let the archive itself be
     // the acceptance probe (one compression per in-band frame).  Nothing is
@@ -47,7 +48,6 @@ Status OnlineTuner::push_into(const ArrayView& frame, Buffer& out, StepOutcome* 
                                           cfg.epsilon, out, warm);
       if (!s.ok()) return s;
       if (warm.in_band) {
-        StepOutcome step;
         step.result.error_bound = prediction_;
         step.result.achieved_ratio = warm.ratio;
         step.result.feasible = true;
@@ -59,26 +59,24 @@ Status OnlineTuner::push_into(const ArrayView& frame, Buffer& out, StepOutcome* 
         if (outcome != nullptr) *outcome = std::move(step);
         return Status();
       }
-      drift_probe = true;  // the rare, expensive path: full retraining below
-    }
-
-    StepOutcome step;
-    if (drift_probe) {
-      // The warm archive already measured the carried bound out-of-band, so
-      // train from scratch instead of letting tune_with_prediction re-probe
-      // the identical (deterministic) bound; count the warm archive as the
-      // failed prediction probe it effectively was.
-      step.result = tuner_.tune(frame);
+      // Drift: retune from the miss the warm archive just measured (it counts
+      // as the failed prediction probe it effectively was).  Refinement
+      // compresses into `out`, so an in-band refinement probe is the archive.
+      step.result = tuner_.retune(frame, prediction_, warm.ratio, &out);
       step.result.compress_calls += 1;
-      step.retrained = true;
+      step.result.seconds = timer.seconds();
+      step.retrained = !step.result.refined;
       commit(step);
     } else {
+      out.clear();
       step = push(frame);
     }
-    archiver_->set_error_bound(step.result.error_bound);
-    const Status s = archiver_->compress_into(frame, out);
-    if (!s.ok()) return s;
-    ++stats_.total_compress_calls;  // the archive pass itself
+    if (out.empty()) {
+      archiver_->set_error_bound(step.result.error_bound);
+      const Status s = archiver_->compress_into(frame, out);
+      if (!s.ok()) return s;
+      ++stats_.total_compress_calls;  // the archive pass itself
+    }
     if (outcome != nullptr) *outcome = std::move(step);
     return Status();
   } catch (...) {

@@ -8,10 +8,11 @@
 ///
 /// OnlineTuner wraps the batch tuner behind a push API: each arriving frame
 /// is compressed at the carried-forward bound when that still lands in the
-/// acceptance band (one compressor call — the fast path), and retrained
-/// otherwise.  It additionally keeps drift statistics so operators can see
-/// *when* the stream changed character, which the offline Algorithm 3 has no
-/// place to report.
+/// acceptance band (one compressor call — the fast path), and retuned
+/// otherwise (local refinement from the miss, global training only when
+/// refinement gives up — Tuner::retune).  It additionally keeps drift
+/// statistics so operators can see *when* the stream changed character,
+/// which the offline Algorithm 3 has no place to report.
 
 #include <cstddef>
 #include <vector>
@@ -25,7 +26,8 @@ namespace fraz {
 /// Streaming statistics of an OnlineTuner.
 struct OnlineStats {
   std::size_t frames = 0;
-  std::size_t retrains = 0;
+  std::size_t retrains = 0;  ///< frames that ran global training
+  std::size_t refines = 0;   ///< drifted frames local refinement brought into band
   std::size_t frames_in_band = 0;
   int total_compress_calls = 0;
   /// Tuning probes served by the persistent probe cache (retrains on data
@@ -44,7 +46,7 @@ public:
   /// \param config same knobs as the batch Tuner.
   OnlineTuner(const pressio::Compressor& prototype, TunerConfig config);
 
-  /// Process one arriving frame: probe the carried bound, retrain on drift.
+  /// Process one arriving frame: probe the carried bound, retune on drift.
   /// Returns the per-frame outcome (same shape as the batch API's steps).
   StepOutcome push(const ArrayView& frame);
 
@@ -52,7 +54,9 @@ public:
   /// frame's archive in the caller's reusable \p out — the deliverable a
   /// streaming deployment actually ships to storage.  On the warm path the
   /// archive itself is the acceptance probe, so an in-band frame costs
-  /// exactly ONE compression.  Non-throwing.  On a non-ok Status \p out is
+  /// exactly ONE compression, and a drifted frame that local refinement
+  /// brings into band keeps the in-band probe's bytes (1 + k compressions
+  /// for k refinement probes).  Non-throwing.  On a non-ok Status \p out is
   /// unspecified and no archive was produced; if the failure struck after a
   /// retrain completed, the stream statistics still count the tuned frame.
   /// \p outcome (optional) receives the same per-frame detail as push().

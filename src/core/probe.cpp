@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <exception>
-#include <future>
 #include <thread>
 
 #include "metrics/error_stats.hpp"
@@ -210,15 +208,14 @@ void ProbeExecutor::checkin(std::unique_ptr<Context> context) {
 }
 
 ProbeRecord ProbeExecutor::execute_ratio(Context& context, const ArrayView& data,
-                                         double bound) {
+                                         double bound, Buffer& out) {
   TELEM_SPAN("tune.probe_us");
   telemetry::SpanTimer backend_span(*probe_hist_backend_, probe_span_name_.c_str());
   context.compressor->set_error_bound(bound);
-  const Status s = context.compressor->compress_into(data, context.scratch);
+  const Status s = context.compressor->compress_into(data, out);
   if (!s.ok()) throw_status(s);
   ProbeRecord record;
-  record.ratio = static_cast<double>(data.size_bytes()) /
-                 static_cast<double>(context.scratch.size());
+  record.ratio = static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
   probes_executed_counter().add();
   probes_executed_backend_->add();
   return record;
@@ -258,41 +255,11 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
 
   if (!misses.empty()) {
     std::vector<ProbeRecord> records(misses.size());
-    if (threads_ <= 1 || misses.size() == 1) {
+    parallel_for_shared(misses.size(), threads_, [&](std::size_t m) {
       auto worker = checkout();
-      for (std::size_t m = 0; m < misses.size(); ++m)
-        records[m] = execute_ratio(*worker, data, misses[m].bound);
+      records[m] = execute_ratio(*worker, data, misses[m].bound, worker->scratch);
       checkin(std::move(worker));
-    } else {
-      // Contiguous groups capped at the executor's thread budget; group 0
-      // runs on the calling thread so a waiting caller always contributes.
-      const std::size_t groups =
-          std::min<std::size_t>(threads_, misses.size());
-      auto run_group = [&](std::size_t g) {
-        auto worker = checkout();
-        for (std::size_t m = g; m < misses.size(); m += groups)
-          records[m] = execute_ratio(*worker, data, misses[m].bound);
-        checkin(std::move(worker));
-      };
-      std::vector<std::future<void>> pending;
-      pending.reserve(groups - 1);
-      for (std::size_t g = 1; g < groups; ++g)
-        pending.push_back(shared_thread_pool().submit([&run_group, g] { run_group(g); }));
-      std::exception_ptr first_error;
-      try {
-        run_group(0);
-      } catch (...) {
-        first_error = std::current_exception();
-      }
-      for (auto& f : pending) {
-        try {
-          f.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    }
+    });
     for (std::size_t m = 0; m < misses.size(); ++m) {
       cache_->insert(context, misses[m].bound, records[m]);
       out[misses[m].index] = ProbeOutcome{records[m], false};
@@ -315,7 +282,7 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
 }
 
 ProbeOutcome ProbeExecutor::probe_ratio(const ArrayView& data, std::uint64_t context,
-                                        double bound) {
+                                        double bound, Buffer* out) {
   ProbeRecord cached;
   if (cache_->lookup(context, bound, cached)) {
     probe_cache_hits_counter().add();
@@ -327,7 +294,7 @@ ProbeOutcome ProbeExecutor::probe_ratio(const ArrayView& data, std::uint64_t con
   auto worker = checkout();
   ProbeRecord record;
   try {
-    record = execute_ratio(*worker, data, bound);
+    record = execute_ratio(*worker, data, bound, out != nullptr ? *out : worker->scratch);
   } catch (...) {
     checkin(std::move(worker));
     throw;

@@ -145,12 +145,18 @@ public:
   /// Evaluate ratio probes for one batch of bounds (one search round).
   /// Results are positionally aligned with \p bounds.  Duplicate bounds in
   /// the batch and cache hits cost nothing; misses run concurrently up to
-  /// the thread cap on the shared pool.  Throws on compression failure.
+  /// the thread cap on the shared pool, the calling thread included (so a
+  /// batch issued from inside a pool task cannot stall).  Throws on
+  /// compression failure.
   std::vector<ProbeOutcome> probe_ratios(const ArrayView& data, std::uint64_t context,
                                          const std::vector<double>& bounds);
 
-  /// Single ratio probe (prediction / warm paths).
-  ProbeOutcome probe_ratio(const ArrayView& data, std::uint64_t context, double bound);
+  /// Single ratio probe (prediction / warm / refinement paths).  When \p out
+  /// is non-null, a probe that runs the compressor compresses into *out, so
+  /// a caller that keeps the winning probe's bytes as its archive pays no
+  /// second compression; a cache hit leaves *out untouched.
+  ProbeOutcome probe_ratio(const ArrayView& data, std::uint64_t context, double bound,
+                           Buffer* out = nullptr);
 
   /// Compress + decompress + metric probe for the quality tuner.  Cached
   /// under a metric-tagged key; record.quality carries the metric value and
@@ -174,7 +180,8 @@ private:
 
   std::unique_ptr<Context> checkout();
   void checkin(std::unique_ptr<Context> context);
-  ProbeRecord execute_ratio(Context& context, const ArrayView& data, double bound);
+  ProbeRecord execute_ratio(Context& context, const ArrayView& data, double bound,
+                            Buffer& out);
 
   pressio::CompressorPtr prototype_;
   std::uint64_t config_fingerprint_;

@@ -23,6 +23,21 @@ std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
+/// Local refinement tuning.  Slopes below kMinSlope (plateaus, a locally
+/// decreasing curve) are floored so an unbracketed step still moves toward
+/// the band; regula falsi keeps each point this far inside its bracket; a
+/// bracket narrower than kCollapse in log(bound) with no in-band probe means
+/// the ratio jumps over the whole band there.
+constexpr double kMinSlope = 0.1;
+constexpr double kInterior = 0.1;
+constexpr double kCollapse = 1e-3;
+
+/// One refinement observation: x = log(bound), f = log(ratio / target).
+struct LogPoint {
+  double x = 0;
+  double f = 0;
+};
+
 }  // namespace
 
 Status warm_archive_probe(pressio::Compressor& compressor, const ArrayView& data,
@@ -207,13 +222,117 @@ TuneResult Tuner::tune_with_prediction(const ArrayView& data, double predicted_b
       result.seconds = timer.seconds();
       return result;
     }
-    TuneResult result = train(data, context);
+    TuneResult result =
+        refine_or_train(data, context, predicted_bound, probe.record.ratio, nullptr);
     result.compress_calls += 1;       // account for the failed prediction probe
     result.probe_cache_hits += probe.from_cache ? 1 : 0;
     result.seconds = timer.seconds();  // total including the probe
     return result;
   }
   return tune(data);
+}
+
+TuneResult Tuner::retune(const ArrayView& data, double missed_bound, double missed_ratio,
+                         Buffer* archive) const {
+  return refine_or_train(data, executor_.context_key(data), missed_bound, missed_ratio,
+                         archive);
+}
+
+TuneResult Tuner::refine_or_train(const ArrayView& data, std::uint64_t context,
+                                  double missed_bound, double missed_ratio,
+                                  Buffer* archive) const {
+  Timer timer;
+  TuneResult local = refine(data, context, missed_bound, missed_ratio, archive);
+  if (local.refined) {
+    local.seconds = timer.seconds();
+    return local;
+  }
+  if (archive != nullptr) archive->clear();
+  TuneResult result = train(data, context);
+  result.compress_calls += local.compress_calls;
+  result.probe_cache_hits += local.probe_cache_hits;
+  result.seconds = timer.seconds();
+  return result;
+}
+
+TuneResult Tuner::refine(const ArrayView& data, std::uint64_t context, double missed_bound,
+                         double missed_ratio, Buffer* archive) const {
+  TuneResult result;
+  if (!(missed_bound > 0) || !(missed_ratio > 0)) return result;
+  cache_->insert(context, missed_bound, ProbeRecord{missed_ratio, 0});
+  // A lossless backend's ratio does not depend on the bound: nothing to
+  // refine, and training settles it with one probe.
+  if (prototype_->capabilities().lossless) return result;
+
+  const double target = config_.target_ratio;
+  const double f_lo = std::log1p(-config_.epsilon);
+  const double f_hi = std::log1p(config_.epsilon);
+  const auto side = [f_lo, f_hi](double f) { return f < f_lo ? -1 : (f > f_hi ? 1 : 0); };
+  const Region range = search_range(data);
+  const double x_min = std::log(range.lo);
+  const double x_max = std::log(range.hi);
+  const double max_step = std::log(kRefineMaxStepFactor);
+
+  // Unbracketed, every probe so far sits on the miss's side of the band and
+  // `cur` / `prev` are the last two; bracketed, `below` / `above` are the
+  // newest probes under and over the band.
+  LogPoint cur{std::log(missed_bound), std::log(missed_ratio / target)};
+  LogPoint prev;
+  bool have_prev = false;
+  LogPoint below, above;
+  bool bracketed = false;
+  int last_replaced = 0;  // side the previous bracketed probe replaced (Illinois)
+  for (int probes = 0; probes < kRefineProbeCap; ++probes) {
+    double x;
+    if (bracketed) {
+      if (std::abs(above.x - below.x) < kCollapse) break;
+      const double t = std::clamp(below.f / (below.f - above.f), kInterior, 1 - kInterior);
+      x = std::clamp(below.x + t * (above.x - below.x), x_min, x_max);
+    } else {
+      double slope = 1.0;
+      if (have_prev && cur.x != prev.x)
+        slope = std::max((cur.f - prev.f) / (cur.x - prev.x), kMinSlope);
+      x = std::clamp(cur.x + std::clamp(-cur.f / slope, -max_step, max_step), x_min, x_max);
+      if (x == cur.x) break;  // pinned at a range edge with no bracket
+    }
+    const double bound = std::exp(x);
+    const ProbeOutcome probe = executor_.probe_ratio(data, context, bound, archive);
+    ++result.compress_calls;
+    result.probe_cache_hits += probe.from_cache ? 1 : 0;
+    const LogPoint p{x, std::log(probe.record.ratio / target)};
+    const int s = side(p.f);
+    if (s == 0) {
+      if (archive != nullptr && probe.from_cache) archive->clear();
+      result.error_bound = bound;
+      result.achieved_ratio = probe.record.ratio;
+      result.feasible = true;
+      result.refined = true;
+      return result;
+    }
+    if (!bracketed) {
+      if (s == side(cur.f)) {
+        prev = cur;
+        have_prev = true;
+        cur = p;
+        continue;
+      }
+      bracketed = true;
+      below = s < 0 ? p : cur;
+      above = s < 0 ? cur : p;
+      continue;
+    }
+    // Illinois: when the same end is replaced twice running, halve the
+    // retained end's weight so the interpolation stops creeping toward it.
+    if (s < 0) {
+      below = p;
+      if (last_replaced < 0) above.f *= 0.5;
+    } else {
+      above = p;
+      if (last_replaced > 0) below.f *= 0.5;
+    }
+    last_replaced = s;
+  }
+  return result;
 }
 
 SeriesResult Tuner::tune_series(const std::vector<ArrayView>& steps) const {
@@ -224,8 +343,9 @@ SeriesResult Tuner::tune_series(const std::vector<ArrayView>& steps) const {
   for (const ArrayView& step : steps) {
     StepOutcome outcome;
     outcome.result = tune_with_prediction(step, prediction);
-    outcome.retrained = !outcome.result.from_prediction;
+    outcome.retrained = !outcome.result.from_prediction && !outcome.result.refined;
     if (outcome.retrained) ++series.retrain_count;
+    if (outcome.result.refined) ++series.refine_count;
     // Algorithm 3 line 5-7: carry the bound forward only when it satisfied
     // the acceptance band.
     if (outcome.result.feasible) prediction = outcome.result.error_bound;

@@ -12,7 +12,12 @@
 ///
 /// - **Algorithm 1 (worker task)**: probe a predicted bound first; if it is
 ///   already acceptable, stop; otherwise run the cutoff-modified global
-///   search on the worker's error-bound region.
+///   search on the worker's error-bound region.  Extension: a missed
+///   prediction is a measured (bound, ratio) point next to the answer, and
+///   the ratio is locally near-monotone in the bound even where the global
+///   curve is not (paper Fig. 3), so retune() first refines locally — a
+///   capped bracketed secant search from the miss — and runs the global
+///   search only when that gives up.
 /// - **Algorithm 2 (training)**: split [lo, U] into K overlapping regions,
 ///   search them in parallel, cancel outstanding work as soon as any region
 ///   lands in the acceptance band, and fall back to the closest observed
@@ -46,6 +51,11 @@ struct WarmArchive {
   double ratio = 0;     ///< achieved compression ratio of the archive in `out`
   bool in_band = false; ///< ratio within the acceptance band of the target
 };
+
+/// Probe cap of the local refinement retune() runs before global training.
+inline constexpr int kRefineProbeCap = 8;
+/// Largest factor one unbracketed refinement step may move the bound by.
+inline constexpr double kRefineMaxStepFactor = 16.0;
 
 /// Algorithm 3's warm path, shared by Engine::compress and
 /// OnlineTuner::push_into: compress \p data at \p bound into the caller's
@@ -107,23 +117,28 @@ struct TuneResult {
   double achieved_ratio = 0; ///< ρr(e)
   bool feasible = false;     ///< true when inside the acceptance band
   bool from_prediction = false;  ///< satisfied by the warm-start probe alone
+  /// Landed in band by local refinement around a missed bound (retune()),
+  /// without global training.
+  bool refined = false;
   int compress_calls = 0;    ///< probes the search consumed (cache hits included)
   int probe_cache_hits = 0;  ///< probes served without a compressor invocation
   double seconds = 0;        ///< wall time of the tuning
-  std::vector<RegionOutcome> regions;  ///< per-region detail (empty when
-                                       ///< satisfied by prediction)
+  std::vector<RegionOutcome> regions;  ///< per-region detail (empty unless
+                                       ///< global training ran)
 };
 
 /// Per-time-step outcome within a series.
 struct StepOutcome {
   TuneResult result;
-  bool retrained = false;  ///< true when the reused bound missed the band
+  bool retrained = false;  ///< global training ran (the reused bound missed the
+                           ///< band and local refinement gave up)
 };
 
 /// Result of tuning a time series of one field.
 struct SeriesResult {
   std::vector<StepOutcome> steps;
-  int retrain_count = 0;
+  int retrain_count = 0;  ///< steps that ran global training
+  int refine_count = 0;   ///< steps that local refinement brought into band
   int total_compress_calls = 0;      ///< probes consumed (cache hits included)
   int total_probe_cache_hits = 0;    ///< of those, served by the probe cache
   double seconds = 0;
@@ -158,8 +173,30 @@ public:
   TuneResult tune(const ArrayView& data) const;
 
   /// Algorithm 1 entry: probe \p predicted_bound first (0 = no prediction),
-  /// then fall back to full training.
+  /// then, on a miss, retune() from it.
   TuneResult tune_with_prediction(const ArrayView& data, double predicted_bound) const;
+
+  /// The one retrain entry point, for a bound already measured out of band:
+  /// \p missed_bound compressed \p data to \p missed_ratio, outside the
+  /// acceptance band.  Records the miss in the probe cache (nothing probes
+  /// that bound again), then runs a deterministic, serial, bracketed secant
+  /// search in log(bound) / log(ratio) space starting from it: secant steps
+  /// from the local slope (slope 1 at first), each clamped to
+  /// kRefineMaxStepFactor and to the [lo, U] range; once a probe lands across
+  /// the band, Illinois regula falsi with an interior safeguard.  It stops on
+  /// the first in-band probe (result.refined) and gives up after
+  /// kRefineProbeCap probes, at a range edge with no bracket, or when the
+  /// bracket collapses because the ratio jumps over the whole band — and
+  /// then runs global training unchanged (the result equals tune()'s, with
+  /// the refinement probes added to its counts).
+  ///
+  /// When \p archive is non-null, refinement probes that run the compressor
+  /// compress into it, so a caller can ship the winning probe's bytes as its
+  /// archive.  On return *archive holds the compressed bytes of
+  /// result.error_bound, or is empty when it does not (a cache-served
+  /// winner, or global training ran) and the caller must compress itself.
+  TuneResult retune(const ArrayView& data, double missed_bound, double missed_ratio,
+                    Buffer* archive = nullptr) const;
 
   /// Algorithm 3 (time dimension): warm-start successive steps with the
   /// previous step's bound; retrain only on drift.
@@ -177,6 +214,16 @@ private:
   /// (a context is a full pass over the data — callers that probed first
   /// hand theirs down instead of paying the fingerprint twice).
   TuneResult train(const ArrayView& data, std::uint64_t context) const;
+
+  /// retune() with the probe-cache context already computed.
+  TuneResult refine_or_train(const ArrayView& data, std::uint64_t context,
+                             double missed_bound, double missed_ratio,
+                             Buffer* archive) const;
+
+  /// The local search of retune(); result.refined tells whether it landed in
+  /// band (its counts hold the probes spent either way).
+  TuneResult refine(const ArrayView& data, std::uint64_t context, double missed_bound,
+                    double missed_ratio, Buffer* archive) const;
 
   pressio::CompressorPtr prototype_;
   TunerConfig config_;

@@ -21,6 +21,11 @@ telemetry::Counter& warm_hits_counter() {
   return c;
 }
 
+telemetry::Counter& refines_counter() {
+  static telemetry::Counter& c = telemetry::global().counter("engine.refines");
+  return c;
+}
+
 telemetry::Counter& retrains_counter() {
   static telemetry::Counter& c = telemetry::global().counter("engine.retrains");
   return c;
@@ -54,35 +59,43 @@ void Engine::adopt_probe_cache(ProbeCachePtr cache) noexcept {
   if (cache) probe_cache_ = std::move(cache);
 }
 
+Tuner Engine::make_tuner(double target_ratio) const {
+  TunerConfig cfg = config_.tuner;
+  cfg.target_ratio = target_ratio;
+  return Tuner(*compressor_, cfg, probe_cache_);
+}
+
+void Engine::record_tune(const std::string& field, double target_ratio,
+                         const TuneResult& result) {
+  ++stats_.tunes;
+  tunes_counter().add();
+  stats_.tuner_probe_calls +=
+      static_cast<std::size_t>(result.compress_calls - result.probe_cache_hits);
+  stats_.probe_cache_hits += static_cast<std::size_t>(result.probe_cache_hits);
+  EngineFieldStats& per_field = field_stats_[field];
+  ++per_field.tunes;
+  if (result.from_prediction) {
+    ++stats_.warm_hits;
+    ++per_field.warm_hits;
+    warm_hits_counter().add();
+  } else if (result.refined) {
+    ++stats_.refines;
+    ++per_field.refines;
+    refines_counter().add();
+  } else {
+    ++stats_.retrains;
+    ++per_field.retrains;
+    retrains_counter().add();
+  }
+  if (result.feasible) bounds_->put(field, target_ratio, result.error_bound);
+}
+
 Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
                                 double target_ratio) noexcept {
   try {
-    TunerConfig cfg = config_.tuner;
-    cfg.target_ratio = target_ratio;
-    const Tuner tuner(*compressor_, cfg, probe_cache_);
-
-    const double prediction = bounds_->get(field, target_ratio);
-
-    TuneResult result = tuner.tune_with_prediction(data, prediction);
-    ++stats_.tunes;
-    tunes_counter().add();
-    stats_.tuner_probe_calls +=
-        static_cast<std::size_t>(result.compress_calls - result.probe_cache_hits);
-    stats_.probe_cache_hits += static_cast<std::size_t>(result.probe_cache_hits);
-    EngineFieldStats& per_field = field_stats_[field];
-    ++per_field.tunes;
-    if (result.from_prediction) {
-      ++stats_.warm_hits;
-      ++per_field.warm_hits;
-      warm_hits_counter().add();
-    } else {
-      ++stats_.retrains;
-      ++per_field.retrains;
-      retrains_counter().add();
-    }
-    // Algorithm 3's carry rule: only a bound that satisfied the acceptance
-    // band is worth warm-starting the next call with.
-    if (result.feasible) bounds_->put(field, target_ratio, result.error_bound);
+    const TuneResult result =
+        make_tuner(target_ratio).tune_with_prediction(data, bounds_->get(field, target_ratio));
+    record_tune(field, target_ratio, result);
     return result;
   } catch (...) {
     return status_from_current_exception();
@@ -96,41 +109,59 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
   // tune() here would compress twice per steady-state frame — once for the
   // probe, once for the archive — on identical bytes.
   const double target = config_.tuner.target_ratio;
+  const double epsilon = config_.tuner.epsilon;
   const double cached = bounds_->get(field, target);
+  TuneResult tuned;
+  bool warm_hit = false;
   if (cached > 0) {
     WarmArchive warm;
-    const Status s = warm_archive_probe(*compressor_, data, cached, target,
-                                        config_.tuner.epsilon, out, warm);
+    const Status s = warm_archive_probe(*compressor_, data, cached, target, epsilon, out, warm);
     if (!s.ok()) return s;
     ++stats_.compress_calls;
-    ++field_stats_[field].compress_calls;
+    EngineFieldStats& per_field = field_stats_[field];
+    ++per_field.compress_calls;
     if (warm.in_band) {
       ++stats_.tunes;
       ++stats_.warm_hits;
       tunes_counter().add();
       warm_hits_counter().add();
-      EngineFieldStats& per_field = field_stats_[field];
       ++per_field.tunes;
       ++per_field.warm_hits;
-      if (outcome) *outcome = CompressOutcome{cached, warm.ratio, true, false, true};
-      return Status();
+      tuned.error_bound = cached;
+      warm_hit = true;
+    } else {
+      // Drift: the cached bound is proven stale — drop it, and retune from
+      // the miss this archive just measured.  Refinement compresses into
+      // `out`, so an in-band refinement probe is the archive.
+      bounds_->erase(field, target);
+      try {
+        tuned = make_tuner(target).retune(data, cached, warm.ratio, &out);
+        record_tune(field, target, tuned);
+      } catch (...) {
+        return status_from_current_exception();
+      }
     }
-    // Drift: the cached bound is proven stale — drop it so the retraining
-    // tune() below goes straight to full training instead of re-probing the
-    // very bound this archive just measured out-of-band.
-    bounds_->erase(field, target);
+  } else {
+    out.clear();
+    Result<TuneResult> fresh = tune(field, data);
+    if (!fresh.ok()) return fresh.status();
+    tuned = std::move(fresh).value();
   }
-  Result<TuneResult> tuned = tune(field, data);
-  if (!tuned.ok()) return tuned.status();
-  const Status s = compress_at(tuned.value().error_bound, data, out);
-  if (!s.ok()) return s;
-  ++field_stats_[field].compress_calls;
+  if (out.empty()) {
+    const Status s = compress_at(tuned.error_bound, data, out);
+    if (!s.ok()) return s;
+    ++field_stats_[field].compress_calls;
+  }
   if (outcome) {
     const double ratio =
         static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
-    *outcome = CompressOutcome{tuned.value().error_bound, ratio, false,
-                               !tuned.value().from_prediction,
-                               ratio_acceptable(ratio, target, config_.tuner.epsilon)};
+    *outcome = CompressOutcome{};
+    outcome->error_bound = tuned.error_bound;
+    outcome->achieved_ratio = ratio;
+    outcome->warm = warm_hit;
+    outcome->refined = tuned.refined;
+    outcome->retrained = !warm_hit && !tuned.from_prediction && !tuned.refined;
+    outcome->in_band = ratio_acceptable(ratio, target, epsilon);
   }
   return Status();
 }

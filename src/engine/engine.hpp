@@ -47,7 +47,8 @@ struct EngineConfig {
 struct EngineStats {
   std::size_t tunes = 0;            ///< tune() / compress() tuning passes
   std::size_t warm_hits = 0;        ///< satisfied by the cached bound alone
-  std::size_t retrains = 0;         ///< fell back to full training
+  std::size_t refines = 0;          ///< brought into band by local refinement
+  std::size_t retrains = 0;         ///< fell back to global training
   std::size_t compress_calls = 0;   ///< archive-producing compressions
   std::size_t decompress_calls = 0;
   /// Compressor invocations actually spent inside tuning (probes the shared
@@ -64,6 +65,7 @@ struct EngineStats {
 struct EngineFieldStats {
   std::size_t tunes = 0;
   std::size_t warm_hits = 0;
+  std::size_t refines = 0;
   std::size_t retrains = 0;
   std::size_t compress_calls = 0;
 };
@@ -74,8 +76,11 @@ struct CompressOutcome {
   double error_bound = 0;     ///< bound the archive was produced at
   double achieved_ratio = 0;  ///< raw bytes / archive bytes of this call
   bool warm = false;          ///< served by the cached bound (archive-as-probe)
-  bool retrained = false;     ///< full training ran for this call
+  bool retrained = false;     ///< global training ran for this call
   bool in_band = false;       ///< achieved ratio within the acceptance band
+  /// The cached bound missed and local refinement (Tuner::retune) brought
+  /// the call into band without global training.
+  bool refined = false;
 };
 
 /// Facade over registry + tuner + bound cache.  Not thread-safe; give each
@@ -111,9 +116,13 @@ public:
 
   /// Tune (cached) then compress \p data into the caller's reusable \p out.
   /// On the warm path the archive itself is the acceptance probe, so an
-  /// in-band frame costs exactly one compression; retraining happens only
-  /// when the cached bound's achieved ratio drifts out of the band.  When
-  /// \p outcome is non-null it receives the bound/ratio/path of this call.
+  /// in-band frame costs exactly one compression.  When the cached bound's
+  /// achieved ratio drifts out of the band, Tuner::retune refines locally
+  /// from that measured miss (keeping the in-band probe's bytes as the
+  /// archive, so a refined drift costs 1 + k compressions for k refinement
+  /// probes) and falls back to global training only when refinement gives
+  /// up.  When \p outcome is non-null it receives the bound/ratio/path of
+  /// this call.
   Status compress(const std::string& field, const ArrayView& data, Buffer& out,
                   CompressOutcome* outcome = nullptr) noexcept;
 
@@ -165,6 +174,12 @@ public:
   }
 
 private:
+  /// The tuner of one call at \p target_ratio, over the shared probe cache.
+  Tuner make_tuner(double target_ratio) const;
+  /// Fold one tuning pass into the counters and apply Algorithm 3's carry
+  /// rule (only an in-band bound is cached for the next call).
+  void record_tune(const std::string& field, double target_ratio, const TuneResult& result);
+
   EngineConfig config_;
   pressio::CompressorPtr compressor_;
   BoundStorePtr bounds_;        ///< last feasible bound per (field, target)

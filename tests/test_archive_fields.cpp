@@ -97,46 +97,47 @@ void dump(const std::string& path, const std::uint8_t* data, std::size_t size) {
 }
 
 /// Write \p field through \p writer and check the single-field v3 archive
-/// against its pinned size and CRC, and its chunk region against the frozen
-/// v2 archive \p v2_fixture wrote for the same input: only the manifest and
-/// footer may differ between the formats, never a chunk byte.
+/// against its pinned size and CRC.  Every chunk must be its input rows
+/// compressed at its recorded bound — in the fresh write and in the frozen v2
+/// archive \p v2_fixture wrote for the same input, which pins the fixture to
+/// the compressor without depending on which bounds the tuner picks.
 void expect_v3_golden(ArchiveWriter& writer, const NdArray& field,
                       const std::string& v2_fixture, std::size_t size, std::uint32_t crc) {
   Buffer out;
   const auto written = writer.write(field.view(), out);
   ASSERT_TRUE(written.ok()) << written.status().to_string();
   EXPECT_EQ(written.value().format_version, 3u);
+  EXPECT_TRUE(written.value().in_band) << written.value().achieved_ratio;
   EXPECT_EQ(out.size(), size);
   EXPECT_EQ(crc32(out.data(), out.size()), crc);
+  EXPECT_EQ(testhelpers::chunk_reproduction_mismatch(out.data(), out.size(), field), "");
 
   const testhelpers::ArchiveFixture& v2 = testhelpers::archive_fixture(v2_fixture);
   const auto v2_bytes = testhelpers::read_corpus(v2.name);
   ASSERT_EQ(v2_bytes.size(), v2.file_bytes);
-  auto reader = ArchiveReader::open(out.data(), out.size());
-  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-  ASSERT_EQ(reader.value().fields()[0].payload_bytes, v2.region_bytes);
-  EXPECT_EQ(std::memcmp(out.data(), v2_bytes.data() + v2.chunk_region, v2.region_bytes), 0)
-      << "v3 chunk region differs from " << v2.name;
+  EXPECT_EQ(testhelpers::chunk_reproduction_mismatch(v2_bytes.data(), v2_bytes.size(), field),
+            "")
+      << v2.name;
 }
 
 TEST(ArchiveFields, WriteMatchesPinnedV3GoldenBytes) {
   // The regression gate on the write path: write(ArrayView) — one push
-  // session — produces these exact single-field v3 archives.  Their chunk
-  // regions are byte-identical to the frozen v2 goldens of the same inputs
-  // (tests/corpus/archive_format/v2_*.fraz), so retiring the v2 writer moved
-  // no compressed byte; the v3 manifest is 14 bytes longer (field name and
-  // per-field ratio).  The CRCs equal what a begin() session build of the
-  // same inputs wrote before write(ArrayView) switched to v3.
+  // session — produces these exact single-field v3 archives, in band.  The
+  // pins move only when the tuner picks different bounds: local refinement
+  // of missed warm bounds re-pinned the sz pair (was 3465 B / 0x211e6bb9 and
+  // 3438 B / 0x14595347; the zfp archive did not move).  The frozen v2
+  // goldens of the same inputs stay pinned by their file CRCs, and every
+  // chunk of both is its input compressed at its recorded bound.
   {
     const NdArray field = make_field(DType::kFloat32, {24, 16, 12});
     ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2, 2));
     expect_v3_golden(writer, field, "archive_format/v2_sz_f32_step0.fraz", 3465u,
-                     0x211e6bb9u);
+                     0x74a3e6d0u);
     // A drifted second step through the SAME writer exercises the carried
     // warm bounds — the cross-write warm path must stay byte-identical too.
     const NdArray step1 = make_field(DType::kFloat32, {24, 16, 12}, 51.0);
-    expect_v3_golden(writer, step1, "archive_format/v2_sz_f32_step1.fraz", 3438u,
-                     0x14595347u);
+    expect_v3_golden(writer, step1, "archive_format/v2_sz_f32_step1.fraz", 3467u,
+                     0x9d94aae6u);
   }
   {
     const NdArray field = make_field(DType::kFloat64, {12, 20, 14});

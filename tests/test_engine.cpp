@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <memory>
 
 #include "core/online.hpp"
+#include "curve_compressor.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
 #include "util/buffer.hpp"
@@ -138,7 +141,9 @@ TEST_P(BackendSweep, CloneIsIndependent) {
   // The tight-bound archive must be strictly larger — shared state would
   // make the two calls produce identical output.  Lossless backends ignore
   // the bound entirely, so for them the bound values above are the check.
-  if (!original->capabilities().lossless) EXPECT_GT(b.size(), a.size()) << GetParam();
+  if (!original->capabilities().lossless) {
+    EXPECT_GT(b.size(), a.size()) << GetParam();
+  }
   // And the original still compresses at its own bound afterwards.
   EXPECT_DOUBLE_EQ(original->error_bound(), 0.5);
 }
@@ -327,6 +332,87 @@ TEST(Engine, WarmCompressIsOneCompressionPerFrame) {
   EXPECT_EQ(engine.stats().warm_hits, 5u);
 }
 
+/// Compressions of every "curve-counting" instance the registry creates.
+std::shared_ptr<std::atomic<int>> counting_calls() {
+  static const auto calls = std::make_shared<std::atomic<int>>(0);
+  if (!pressio::registry().contains("curve-counting"))
+    pressio::registry().register_factory("curve-counting", [] {
+      return std::make_unique<testhelpers::CurveCompressor>(
+          "curve-counting", testhelpers::power_curve(0.6), calls);
+    });
+  return calls;
+}
+
+TEST(Engine, RefinedDriftKeepsTheInBandProbeAsTheArchive) {
+  // A drifted frame costs the warm miss plus k refinement probes, and the
+  // in-band probe's bytes are the archive: 1 + k compressions, not 2 + k.
+  const auto calls = counting_calls();
+  EngineConfig config = fast_config("curve-counting", 10.0);
+  config.tuner.threads = 1;
+  Engine engine(config);
+  const NdArray calm = make_field(DType::kFloat32, {16, 16, 16}, 50.0);
+  const NdArray wild = make_field(DType::kFloat32, {16, 16, 16}, 400.0);
+  Buffer out;
+  CompressOutcome outcome;
+  ASSERT_TRUE(engine.compress("f", calm.view(), out, &outcome).ok());  // trains
+  EXPECT_TRUE(outcome.retrained);
+  ASSERT_TRUE(engine.compress("f", calm.view(), out, &outcome).ok());  // warm
+  EXPECT_TRUE(outcome.warm);
+
+  const int before = calls->load();
+  const std::size_t probes_before = engine.stats().tuner_probe_calls;
+  ASSERT_TRUE(engine.compress("f", wild.view(), out, &outcome).ok());
+  const auto k = static_cast<int>(engine.stats().tuner_probe_calls - probes_before);
+  EXPECT_TRUE(outcome.refined);
+  EXPECT_FALSE(outcome.retrained);
+  EXPECT_FALSE(outcome.warm);
+  EXPECT_TRUE(outcome.in_band) << outcome.achieved_ratio;
+  EXPECT_GE(k, 1);
+  EXPECT_LE(k, kRefineProbeCap);
+  EXPECT_EQ(calls->load() - before, 1 + k);
+  EXPECT_EQ(engine.stats().refines, 1u);
+  EXPECT_EQ(engine.stats().retrains, 1u);
+  EXPECT_EQ(engine.field_stats().at("f").refines, 1u);
+  EXPECT_DOUBLE_EQ(engine.cached_bound("f"), outcome.error_bound);
+
+  testhelpers::CurveCompressor reference("curve-counting", testhelpers::power_curve(0.6));
+  reference.set_error_bound(outcome.error_bound);
+  Buffer expected;
+  ASSERT_TRUE(reference.compress_into(wild.view(), expected).ok());
+  ASSERT_EQ(out.size(), expected.size());
+  EXPECT_EQ(std::memcmp(out.data(), expected.data(), expected.size()), 0);
+}
+
+TEST(OnlineTunerV2, RefinedDriftKeepsTheInBandProbeAsTheArchive) {
+  const auto calls = counting_calls();
+  auto prototype = pressio::registry().create("curve-counting");
+  TunerConfig cfg;
+  cfg.target_ratio = 10.0;
+  cfg.epsilon = 0.1;
+  cfg.threads = 1;
+  OnlineTuner online(*prototype, cfg);
+  const NdArray calm = make_field(DType::kFloat32, {16, 16, 16}, 50.0);
+  const NdArray wild = make_field(DType::kFloat32, {16, 16, 16}, 400.0);
+  Buffer out;
+  ASSERT_TRUE(online.push_into(calm.view(), out).ok());
+  ASSERT_TRUE(online.push_into(calm.view(), out).ok());
+
+  const int before = calls->load();
+  StepOutcome drift;
+  ASSERT_TRUE(online.push_into(wild.view(), out, &drift).ok());
+  EXPECT_TRUE(drift.result.refined);
+  EXPECT_FALSE(drift.retrained);
+  // compress_calls counts the warm miss and the k refinement probes; no
+  // archive pass follows.
+  EXPECT_EQ(calls->load() - before, drift.result.compress_calls);
+  EXPECT_LE(drift.result.compress_calls, 1 + kRefineProbeCap);
+  EXPECT_EQ(online.stats().refines, 1u);
+  EXPECT_EQ(online.stats().retrains, 1u);
+  EXPECT_TRUE(ratio_acceptable(static_cast<double>(wild.size_bytes()) /
+                                   static_cast<double>(out.size()),
+                               10.0, 0.1));
+}
+
 TEST(Engine, EvaluateReportsFidelityAtTunedBound) {
   Engine engine(fast_config("zfp"));
   const NdArray field = test_field();
@@ -372,15 +458,24 @@ TEST(OnlineTunerV2, PushIntoWarmAndDriftPaths) {
   EXPECT_EQ(warm.result.compress_calls, 1);
 
   // Regime change: 1000x the amplitude pushes the carried bound's achieved
-  // ratio out of the band — the stream must retrain, and the failed warm
-  // archive is counted as the prediction probe it effectively was.
+  // ratio out of the band — the stream must retune, and the failed warm
+  // archive is counted as the prediction probe it effectively was.  Local
+  // refinement from that miss lands in band, and its in-band probe's bytes
+  // are the frame's archive.
   const NdArray wild = make_field(DType::kFloat32, {37, 41}, 50000.0);
   StepOutcome drift;
   ASSERT_TRUE(online.push_into(wild.view(), out, &drift).ok());
-  EXPECT_TRUE(drift.retrained);
+  EXPECT_TRUE(drift.result.refined);
+  EXPECT_FALSE(drift.retrained);
   EXPECT_FALSE(drift.result.from_prediction);
   EXPECT_GT(drift.result.compress_calls, 1);
-  EXPECT_GT(out.size(), 0u);
+  EXPECT_LE(drift.result.compress_calls, 1 + kRefineProbeCap);
+  EXPECT_EQ(online.stats().refines, 1u);
+  auto reference = pressio::registry().create("sz");
+  reference->set_error_bound(drift.result.error_bound);
+  const auto expected = reference->compress(wild.view());
+  ASSERT_EQ(out.size(), expected.size());
+  EXPECT_EQ(std::memcmp(out.data(), expected.data(), expected.size()), 0);
 }
 
 // ------------------------------------------------ registry config creation

@@ -5,6 +5,7 @@
 /// fields with realistic structure (smooth + texture) in 1D/2D/3D and both
 /// scalar types, plus error measurement helpers.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -13,7 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "archive/archive.hpp"
 #include "ndarray/ndarray.hpp"
+#include "pressio/registry.hpp"
+#include "util/buffer.hpp"
 
 namespace fraz::testhelpers {
 
@@ -111,6 +115,41 @@ inline const ArchiveFixture& archive_fixture(const std::string& name) {
   for (const ArchiveFixture& fixture : archive_fixtures())
     if (name == fixture.name) return fixture;
   std::abort();
+}
+
+/// Tuner-independent check of an archive's chunks: compressing each chunk's
+/// input planes of \p field with the archive's backend at the bound its
+/// manifest records must reproduce that chunk's bytes exactly.  Returns ""
+/// when every chunk does, else a description of the first that does not.
+/// Chunks recording bound 0 (ZFP rate-fallback payloads, which honour no
+/// pointwise bound) carry no bound to recompress at and are skipped.
+inline std::string chunk_reproduction_mismatch(const std::uint8_t* bytes, std::size_t size,
+                                               const NdArray& field) {
+  auto opened = archive::ArchiveReader::open(bytes, size);
+  if (!opened.ok()) return "open failed: " + opened.status().to_string();
+  const archive::ArchiveInfo& info = opened.value().info();
+  if (info.shape != field.shape()) return "archive shape differs from the input";
+  auto compressor = pressio::registry().create(info.compressor);
+  const std::size_t n0 = field.shape()[0];
+  const std::size_t plane_bytes = field.size_bytes() / n0;
+  Buffer expected;
+  for (std::size_t i = 0; i < info.chunks.size(); ++i) {
+    const archive::ChunkEntry& entry = info.chunks[i];
+    if (entry.error_bound == 0) continue;
+    const std::size_t first = i * info.chunk_extent;
+    Shape rows = field.shape();
+    rows[0] = std::min(info.chunk_extent, n0 - first);
+    const ArrayView input(static_cast<const std::uint8_t*>(field.data()) + first * plane_bytes,
+                          field.dtype(), rows);
+    compressor->set_error_bound(entry.error_bound);
+    if (!compressor->compress_into(input, expected).ok())
+      return "chunk " + std::to_string(i) + ": compression failed";
+    const std::uint8_t* stored = bytes + info.chunk_region + entry.offset;
+    if (expected.size() != entry.size ||
+        !std::equal(expected.data(), expected.data() + expected.size(), stored))
+      return "chunk " + std::to_string(i) + " differs from its input compressed at its bound";
+  }
+  return "";
 }
 
 }  // namespace fraz::testhelpers

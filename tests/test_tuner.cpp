@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
+#include "curve_compressor.hpp"
 #include "data/datasets.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
@@ -9,7 +13,9 @@
 namespace fraz {
 namespace {
 
+using testhelpers::CurveCompressor;
 using testhelpers::make_field;
+using testhelpers::power_curve;
 
 NdArray hurricane_field(const char* name = "TCf", int step = 0) {
   const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
@@ -251,6 +257,182 @@ TEST(Tuner, FieldsTunedIndependently) {
     ASSERT_EQ(series.steps.size(), 3u) << name;
     EXPECT_TRUE(series.steps[0].result.feasible) << name;
   }
+}
+
+// ------------------------------------------------------ local refinement
+
+NdArray curve_field() { return make_field(DType::kFloat32, {16, 16, 16}); }
+
+TunerConfig curve_config(unsigned threads = 1) {
+  TunerConfig cfg;
+  cfg.target_ratio = 10.0;
+  cfg.epsilon = 0.1;
+  cfg.threads = threads;
+  return cfg;
+}
+
+/// Ratio \p curve gives \p field at \p bound, measured on a separate
+/// instance so no tuner's counter or cache sees it.
+double curve_ratio(const CurveCompressor::Curve& curve, const NdArray& field, double bound) {
+  CurveCompressor probe("curve-probe", curve);
+  probe.set_error_bound(bound);
+  Buffer out;
+  EXPECT_TRUE(probe.compress_into(field.view(), out).ok());
+  return static_cast<double>(field.size_bytes()) / static_cast<double>(out.size());
+}
+
+/// Ratio 5 below the knee (bound 1e-3 of the input's magnitude), 20 above:
+/// the band around 10 lies inside the jump.
+double step_curve(double b) { return b < 1e-3 ? 5.0 : 20.0; }
+
+/// Never above 6: the band around 10 is out of reach.
+double ceiling_curve(double b) { return std::min(6.0, 10.0 * b / 1e-3); }
+
+TEST(TunerRefine, MonotoneCurveLandsInBandWithinTheCap) {
+  const NdArray field = curve_field();
+  const double knee = 1e-3 * max_abs(field.view());  // ratio 10 on every curve
+  // Power laws of several slopes, and a curve convex in log space on which
+  // plain regula falsi stalls against one end of its bracket (Illinois's
+  // weight halving is what lands it within the cap).
+  const std::pair<const char*, CurveCompressor::Curve> curves[] = {
+      {"power 0.3", power_curve(0.3)},
+      {"power 1", power_curve(1.0)},
+      {"power 3", power_curve(3.0)},
+      {"convex", [](double b) { return 10.0 * std::exp(std::pow(b / 1e-3, 2.0) - 1.0); }}};
+  for (const auto& [name, curve] : curves) {
+    for (const double seed_factor : {10.0, 3.0, 0.1}) {
+      CurveCompressor compressor(name, curve);
+      const Tuner tuner(compressor, curve_config());
+      const double missed = knee * seed_factor;
+      const double missed_ratio = curve_ratio(curve, field, missed);
+      ASSERT_FALSE(ratio_acceptable(missed_ratio, 10.0, 0.1));
+      const TuneResult r = tuner.retune(field.view(), missed, missed_ratio);
+      EXPECT_TRUE(r.refined) << name << " seed x" << seed_factor;
+      EXPECT_TRUE(r.feasible);
+      EXPECT_FALSE(r.from_prediction);
+      EXPECT_TRUE(ratio_acceptable(r.achieved_ratio, 10.0, 0.1)) << r.achieved_ratio;
+      EXPECT_DOUBLE_EQ(r.achieved_ratio, curve_ratio(curve, field, r.error_bound));
+      EXPECT_GE(r.compress_calls, 1);
+      EXPECT_LE(r.compress_calls, kRefineProbeCap);
+      EXPECT_EQ(compressor.calls(), r.compress_calls);  // every probe was fresh
+      EXPECT_TRUE(r.regions.empty());                   // no global training ran
+    }
+  }
+}
+
+TEST(TunerRefine, GivesUpWithinTheCapAndThenEqualsTraining) {
+  const NdArray field = curve_field();
+  const double knee = 1e-3 * max_abs(field.view());
+  const std::pair<const char*, CurveCompressor::Curve> curves[] = {
+      {"step", step_curve}, {"ceiling", ceiling_curve}};
+  for (const auto& [name, curve] : curves) {
+    for (const double seed_factor : {10.0, 0.1}) {
+      CurveCompressor compressor(name, curve);
+      const Tuner tuner(compressor, curve_config());
+      const double missed = knee * seed_factor;
+      const TuneResult r =
+          tuner.retune(field.view(), missed, curve_ratio(curve, field, missed));
+      CurveCompressor fresh(name, curve);
+      const TuneResult trained = Tuner(fresh, curve_config()).tune(field.view());
+
+      EXPECT_FALSE(r.refined) << name << " seed x" << seed_factor;
+      EXPECT_EQ(r.error_bound, trained.error_bound) << name;
+      EXPECT_EQ(r.achieved_ratio, trained.achieved_ratio) << name;
+      EXPECT_EQ(r.feasible, trained.feasible) << name;
+      ASSERT_EQ(r.regions.size(), trained.regions.size());
+      for (std::size_t i = 0; i < r.regions.size(); ++i) {
+        EXPECT_EQ(r.regions[i].best_bound, trained.regions[i].best_bound);
+        EXPECT_EQ(r.regions[i].compress_calls, trained.regions[i].compress_calls);
+      }
+      // Training's own probe count is unchanged; the rest is refinement.
+      const int refine_probes = r.compress_calls - trained.compress_calls;
+      EXPECT_GE(refine_probes, 1) << name;
+      EXPECT_LE(refine_probes, kRefineProbeCap) << name;
+    }
+  }
+}
+
+TEST(TunerRefine, MeasuredMissIsServedFromTheCache) {
+  const NdArray field = curve_field();
+  const double missed = 1e-2 * max_abs(field.view());
+  CurveCompressor compressor("curve", power_curve(1.0));
+  const Tuner tuner(compressor, curve_config());
+  // A ratio the compressor would never produce at that bound: only the
+  // recorded miss can answer with it.
+  const double recorded = 41.5;
+  ASSERT_NE(recorded, curve_ratio(power_curve(1.0), field, missed));
+  (void)tuner.retune(field.view(), missed, recorded);
+
+  ProbeExecutor executor(compressor, tuner.probe_cache(), 1);
+  const int before = compressor.calls();
+  const ProbeOutcome again =
+      executor.probe_ratio(field.view(), executor.context_key(field.view()), missed);
+  EXPECT_TRUE(again.from_cache);
+  EXPECT_EQ(again.record.ratio, recorded);
+  EXPECT_EQ(compressor.calls(), before);
+}
+
+TEST(TunerRefine, IdenticalAtOneAndFourThreads) {
+  const NdArray field = curve_field();
+  const double missed = 1e-2 * max_abs(field.view());
+  const std::pair<const char*, CurveCompressor::Curve> curves[] = {
+      {"power", power_curve(0.6)}, {"step", step_curve}};
+  for (const auto& [name, curve] : curves) {
+    const double missed_ratio = curve_ratio(curve, field, missed);
+    CurveCompressor serial_backend(name, curve), parallel_backend(name, curve);
+    const TuneResult serial =
+        Tuner(serial_backend, curve_config(1)).retune(field.view(), missed, missed_ratio);
+    const TuneResult parallel =
+        Tuner(parallel_backend, curve_config(4)).retune(field.view(), missed, missed_ratio);
+    EXPECT_EQ(serial.error_bound, parallel.error_bound) << name;
+    EXPECT_EQ(serial.achieved_ratio, parallel.achieved_ratio) << name;
+    EXPECT_EQ(serial.refined, parallel.refined) << name;
+    EXPECT_EQ(serial.compress_calls, parallel.compress_calls) << name;
+    EXPECT_EQ(serial.probe_cache_hits, parallel.probe_cache_hits) << name;
+  }
+}
+
+TEST(TunerRefine, ArchiveHoldsTheWinningProbesBytes) {
+  const NdArray field = curve_field();
+  const double missed = 1e-2 * max_abs(field.view());
+  CurveCompressor compressor("curve", power_curve(0.6));
+  const Tuner tuner(compressor, curve_config());
+  Buffer archive;
+  const TuneResult r = tuner.retune(
+      field.view(), missed, curve_ratio(power_curve(0.6), field, missed), &archive);
+  ASSERT_TRUE(r.refined);
+  ASSERT_FALSE(archive.empty());
+  Buffer expected;
+  compressor.set_error_bound(r.error_bound);
+  ASSERT_TRUE(compressor.compress_into(field.view(), expected).ok());
+  ASSERT_EQ(archive.size(), expected.size());
+  EXPECT_EQ(std::memcmp(archive.data(), expected.data(), expected.size()), 0);
+
+  // Gave up: global training ran, so the archive is empty and the caller
+  // compresses at the trained bound itself.
+  CurveCompressor stepped("step", step_curve);
+  Buffer none;
+  const TuneResult fallback = Tuner(stepped, curve_config())
+                                  .retune(field.view(), missed,
+                                          curve_ratio(step_curve, field, missed), &none);
+  EXPECT_FALSE(fallback.refined);
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(TunerRefine, SeriesCountsRefinedStepsApartFromRetrains) {
+  // Step 1 scales the input 4x: the carried bound misses and refinement,
+  // not global training, brings the step back into band.
+  const NdArray calm = make_field(DType::kFloat32, {16, 16, 16}, 50.0);
+  const NdArray wild = make_field(DType::kFloat32, {16, 16, 16}, 200.0);
+  CurveCompressor compressor("curve", power_curve(0.6));
+  const Tuner tuner(compressor, curve_config());
+  const SeriesResult series = tuner.tune_series({calm.view(), wild.view()});
+  ASSERT_EQ(series.steps.size(), 2u);
+  EXPECT_TRUE(series.steps[0].retrained);
+  EXPECT_TRUE(series.steps[1].result.refined);
+  EXPECT_FALSE(series.steps[1].retrained);
+  EXPECT_EQ(series.retrain_count, 1);
+  EXPECT_EQ(series.refine_count, 1);
 }
 
 TEST(Tuner, RejectsUnsupportedRank) {

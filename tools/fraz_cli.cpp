@@ -391,6 +391,7 @@ std::string pack_json(const Cli& cli, const archive::ArchiveWriteResult& r) {
       .field("achieved_ratio", r.achieved_ratio)
       .field("in_band", r.in_band)
       .field("warm_chunks", r.warm_chunks)
+      .field("refined_chunks", r.refined_chunks)
       .field("retrained_chunks", r.retrained_chunks)
       .field("rate_fallback_chunks", r.rate_fallback_chunks)
       .field("tuner_probe_calls", r.tuner_probe_calls)
@@ -410,6 +411,7 @@ std::string pack_json(const Cli& cli, const archive::ArchiveWriteResult& r) {
         .field("chunk_count", f.chunk_count)
         .field("chunk_extent", f.chunk_extent)
         .field("warm_chunks", f.warm_chunks)
+        .field("refined_chunks", f.refined_chunks)
         .field("retrained_chunks", f.retrained_chunks)
         .field("rate_fallback_chunks", f.rate_fallback_chunks)
         .end_object();
@@ -437,9 +439,9 @@ int report_pack(const Cli& cli, const archive::ArchiveWriteResult& r) {
   std::printf("aggregate ratio %.3f vs target %.3f (epsilon %.3f): %s\n",
               r.achieved_ratio, cli.get_double("target"), cli.get_double("epsilon"),
               r.in_band ? "in band" : "OUT OF BAND");
-  std::printf("chunks: %zu warm, %zu retrained, %zu rate-fallback; peak %zu buffered "
-              "(%zu bytes out, %zu bytes staged in), %.2fs\n",
-              r.warm_chunks, r.retrained_chunks, r.rate_fallback_chunks,
+  std::printf("chunks: %zu warm, %zu refined, %zu retrained, %zu rate-fallback; peak %zu "
+              "buffered (%zu bytes out, %zu bytes staged in), %.2fs\n",
+              r.warm_chunks, r.refined_chunks, r.retrained_chunks, r.rate_fallback_chunks,
               r.peak_buffered_chunks, r.peak_buffered_bytes, r.peak_staged_bytes,
               r.seconds);
   std::printf("tuning: %zu probes executed, %zu served by the probe cache\n",
