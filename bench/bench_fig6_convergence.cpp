@@ -36,11 +36,11 @@ void run_case(const char* label, double target, const std::vector<ArrayView>& vi
   int in_band = 0;
   for (std::size_t s = 0; s < series.steps.size(); ++s) {
     const auto& step = series.steps[s];
-    const bool ok = step.result.feasible;
+    const bool ok = step.feasible;
     in_band += ok;
-    t.add_row({std::to_string(s), Table::num(step.result.achieved_ratio, 2), ok ? "yes" : "no",
-               step.retrained ? "yes" : "no", std::to_string(step.result.compress_calls),
-               std::to_string(step.result.probe_cache_hits)});
+    t.add_row({std::to_string(s), Table::num(step.achieved_ratio, 2), ok ? "yes" : "no",
+               step.retrained() ? "yes" : "no", std::to_string(step.compress_calls),
+               std::to_string(step.probe_cache_hits)});
   }
   t.print(std::cout);
   // "probes executed" is the cost the unified tuning stack minimizes: probes

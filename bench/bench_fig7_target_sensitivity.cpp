@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
     // Estimate pure compression time: one timed compression at the tuned
     // bound scaled by call count (the loop outside compression is trivial).
     auto probe_comp = compressor->clone();
-    probe_comp->set_error_bound(series.steps.back().result.error_bound > 0
-                                    ? series.steps.back().result.error_bound
+    probe_comp->set_error_bound(series.steps.back().error_bound > 0
+                                    ? series.steps.back().error_bound
                                     : value_range(views[0]) * 0.01);
     Timer ctimer;
     (void)probe_comp->compress(views[0]);
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     const double compress_time = one_compress * series.total_compress_calls;
 
     int in_band = 0;
-    for (const auto& s : series.steps) in_band += s.result.feasible;
+    for (const auto& s : series.steps) in_band += s.feasible;
     t.add_row({std::to_string(target), Table::num(total, 3), Table::num(compress_time, 3),
                std::to_string(series.total_compress_calls),
                std::to_string(in_band) + "/" + std::to_string(series.steps.size())});

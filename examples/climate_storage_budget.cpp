@@ -63,10 +63,10 @@ int main(int argc, char** argv) {
     double ratio_sum = 0;
     for (std::size_t s = 0; s < series.steps.size(); ++s) {
       const auto& step = series.steps[s];
-      in_band += step.result.feasible;
-      ratio_sum += step.result.achieved_ratio;
+      in_band += step.feasible;
+      ratio_sum += step.achieved_ratio;
       // Account the actual archive for the fit check (zero-copy V2 path).
-      compressor->set_error_bound(step.result.error_bound);
+      compressor->set_error_bound(step.error_bound);
       const Status st = compressor->compress_into(fields.at(name)[s], archive);
       if (!st.ok()) {
         std::fprintf(stderr, "%s step %zu: %s\n", name.c_str(), s, st.to_string().c_str());
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     t.add_row({name, std::to_string(in_band) + "/" + std::to_string(series.steps.size()),
                std::to_string(series.retrain_count),
                Table::num(ratio_sum / static_cast<double>(series.steps.size()), 2),
-               Table::num(series.steps.back().result.error_bound, 6)});
+               Table::num(series.steps.back().error_bound, 6)});
   }
   t.print(std::cout);
 

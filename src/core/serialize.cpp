@@ -62,8 +62,8 @@ std::string to_json(const SeriesResult& series) {
      << ",\"seconds\":" << json_number(series.seconds) << ",\"steps\":[";
   for (std::size_t i = 0; i < series.steps.size(); ++i) {
     if (i) os << ",";
-    os << "{\"retrained\":" << (series.steps[i].retrained ? "true" : "false")
-       << ",\"result\":" << to_json(series.steps[i].result) << "}";
+    os << "{\"retrained\":" << (series.steps[i].retrained() ? "true" : "false")
+       << ",\"result\":" << to_json(series.steps[i]) << "}";
   }
   os << "]}";
   return os.str();

@@ -40,21 +40,6 @@ struct LogPoint {
 
 }  // namespace
 
-Status warm_archive_probe(pressio::Compressor& compressor, const ArrayView& data,
-                          double bound, double target_ratio, double epsilon, Buffer& out,
-                          WarmArchive& result) noexcept {
-  try {
-    compressor.set_error_bound(bound);
-  } catch (...) {
-    return status_from_current_exception();
-  }
-  const Status s = compressor.compress_into(data, out);
-  if (!s.ok()) return s;
-  result.ratio = static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
-  result.in_band = ratio_acceptable(result.ratio, target_ratio, epsilon);
-  return Status();
-}
-
 Tuner::Tuner(const pressio::Compressor& prototype, TunerConfig config)
     : Tuner(prototype, config, std::make_shared<ProbeCache>()) {}
 
@@ -341,17 +326,15 @@ SeriesResult Tuner::tune_series(const std::vector<ArrayView>& steps) const {
   Timer timer;
   double prediction = 0;  // p in Algorithm 3; 0 = none yet
   for (const ArrayView& step : steps) {
-    StepOutcome outcome;
-    outcome.result = tune_with_prediction(step, prediction);
-    outcome.retrained = !outcome.result.from_prediction && !outcome.result.refined;
-    if (outcome.retrained) ++series.retrain_count;
-    if (outcome.result.refined) ++series.refine_count;
+    TuneResult result = tune_with_prediction(step, prediction);
+    if (result.retrained()) ++series.retrain_count;
+    if (result.refined) ++series.refine_count;
     // Algorithm 3 line 5-7: carry the bound forward only when it satisfied
     // the acceptance band.
-    if (outcome.result.feasible) prediction = outcome.result.error_bound;
-    series.total_compress_calls += outcome.result.compress_calls;
-    series.total_probe_cache_hits += outcome.result.probe_cache_hits;
-    series.steps.push_back(std::move(outcome));
+    if (result.feasible) prediction = result.error_bound;
+    series.total_compress_calls += result.compress_calls;
+    series.total_probe_cache_hits += result.probe_cache_hits;
+    series.steps.push_back(std::move(result));
   }
   series.seconds = timer.seconds();
   return series;

@@ -42,29 +42,13 @@
 #include "pressio/compressor.hpp"
 #include "util/buffer.hpp"
 #include "util/seed.hpp"
-#include "util/status.hpp"
 
 namespace fraz {
-
-/// Outcome of one archive-as-probe pass (see warm_archive_probe).
-struct WarmArchive {
-  double ratio = 0;     ///< achieved compression ratio of the archive in `out`
-  bool in_band = false; ///< ratio within the acceptance band of the target
-};
 
 /// Probe cap of the local refinement retune() runs before global training.
 inline constexpr int kRefineProbeCap = 8;
 /// Largest factor one unbracketed refinement step may move the bound by.
 inline constexpr double kRefineMaxStepFactor = 16.0;
-
-/// Algorithm 3's warm path, shared by Engine::compress and
-/// OnlineTuner::push_into: compress \p data at \p bound into the caller's
-/// reusable \p out and check the achieved ratio against the acceptance band
-/// — the archive itself is the acceptance probe, so an in-band frame costs
-/// exactly one compression.  Non-throwing; on failure \p out is unspecified.
-Status warm_archive_probe(pressio::Compressor& compressor, const ArrayView& data,
-                          double bound, double target_ratio, double epsilon, Buffer& out,
-                          WarmArchive& result) noexcept;
 
 /// Tuning configuration (defaults follow the paper where it states one).
 struct TunerConfig {
@@ -125,18 +109,15 @@ struct TuneResult {
   double seconds = 0;        ///< wall time of the tuning
   std::vector<RegionOutcome> regions;  ///< per-region detail (empty unless
                                        ///< global training ran)
-};
 
-/// Per-time-step outcome within a series.
-struct StepOutcome {
-  TuneResult result;
-  bool retrained = false;  ///< global training ran (the reused bound missed the
-                           ///< band and local refinement gave up)
+  /// Global training ran: no warm bound was carried, or it missed the band
+  /// and local refinement gave up.
+  bool retrained() const noexcept { return !from_prediction && !refined; }
 };
 
 /// Result of tuning a time series of one field.
 struct SeriesResult {
-  std::vector<StepOutcome> steps;
+  std::vector<TuneResult> steps;
   int retrain_count = 0;  ///< steps that ran global training
   int refine_count = 0;   ///< steps that local refinement brought into band
   int total_compress_calls = 0;      ///< probes consumed (cache hits included)
@@ -159,7 +140,7 @@ class Tuner {
 public:
   Tuner(const pressio::Compressor& prototype, TunerConfig config);
 
-  /// Share a probe cache with other consumers (an Engine, an OnlineTuner):
+  /// Share a probe cache with other consumers (an Engine, other tuners):
   /// identical (data, config, bound) probes anywhere in the process are then
   /// paid once.  \p cache must not be null.
   Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache);
@@ -199,7 +180,9 @@ public:
                     Buffer* archive = nullptr) const;
 
   /// Algorithm 3 (time dimension): warm-start successive steps with the
-  /// previous step's bound; retrain only on drift.
+  /// previous step's bound; retrain only on drift.  As in the paper, an
+  /// out-of-band step keeps the last in-band bound as the next prediction
+  /// (Engine, a long-lived stream, drops it instead).
   SeriesResult tune_series(const std::vector<ArrayView>& steps) const;
 
   /// Algorithm 3 (field dimension): tune several fields' series in parallel.

@@ -74,20 +74,26 @@ void Engine::record_tune(const std::string& field, double target_ratio,
   stats_.probe_cache_hits += static_cast<std::size_t>(result.probe_cache_hits);
   EngineFieldStats& per_field = field_stats_[field];
   ++per_field.tunes;
-  if (result.from_prediction) {
-    ++stats_.warm_hits;
-    ++per_field.warm_hits;
-    warm_hits_counter().add();
+  if (result.retrained()) {
+    ++stats_.retrains;
+    ++per_field.retrains;
+    retrains_counter().add();
   } else if (result.refined) {
     ++stats_.refines;
     ++per_field.refines;
     refines_counter().add();
   } else {
-    ++stats_.retrains;
-    ++per_field.retrains;
-    retrains_counter().add();
+    ++stats_.warm_hits;
+    ++per_field.warm_hits;
+    warm_hits_counter().add();
   }
-  if (result.feasible) bounds_->put(field, target_ratio, result.error_bound);
+  // Algorithm 3's carry rule.  A warm hit's bound is the one the store
+  // already holds; an out-of-band bound is stale and would only cost the
+  // next call a wasted probe.
+  if (!result.feasible)
+    bounds_->erase(field, target_ratio);
+  else if (!result.from_prediction)
+    bounds_->put(field, target_ratio, result.error_bound);
 }
 
 Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
@@ -104,48 +110,39 @@ Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
 
 Status Engine::compress(const std::string& field, const ArrayView& data, Buffer& out,
                         CompressOutcome* outcome) noexcept {
-  // Warm path: compress directly at the cached bound and let that archive
-  // double as the confirmation probe (warm_archive_probe).  Routing through
-  // tune() here would compress twice per steady-state frame — once for the
-  // probe, once for the archive — on identical bytes.
   const double target = config_.tuner.target_ratio;
   const double epsilon = config_.tuner.epsilon;
   const double cached = bounds_->get(field, target);
   TuneResult tuned;
-  bool warm_hit = false;
-  if (cached > 0) {
-    WarmArchive warm;
-    const Status s = warm_archive_probe(*compressor_, data, cached, target, epsilon, out, warm);
-    if (!s.ok()) return s;
-    ++stats_.compress_calls;
-    EngineFieldStats& per_field = field_stats_[field];
-    ++per_field.compress_calls;
-    if (warm.in_band) {
-      ++stats_.tunes;
-      ++stats_.warm_hits;
-      tunes_counter().add();
-      warm_hits_counter().add();
-      ++per_field.tunes;
-      ++per_field.warm_hits;
-      tuned.error_bound = cached;
-      warm_hit = true;
-    } else {
-      // Drift: the cached bound is proven stale — drop it, and retune from
-      // the miss this archive just measured.  Refinement compresses into
-      // `out`, so an in-band refinement probe is the archive.
-      bounds_->erase(field, target);
-      try {
-        tuned = make_tuner(target).retune(data, cached, warm.ratio, &out);
-        record_tune(field, target, tuned);
-      } catch (...) {
-        return status_from_current_exception();
+  try {
+    if (cached > 0) {
+      // Warm path: compress directly at the cached bound and let that
+      // archive double as the acceptance probe.  Routing through tune()
+      // would compress twice per steady-state frame on identical bytes.  The
+      // archive is counted as a compression, not as a tuning probe.
+      const Status s = compress_at(cached, data, out);
+      if (!s.ok()) return s;
+      ++field_stats_[field].compress_calls;
+      const double ratio =
+          static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
+      if (ratio_acceptable(ratio, target, epsilon)) {
+        tuned.error_bound = cached;
+        tuned.achieved_ratio = ratio;
+        tuned.feasible = true;
+        tuned.from_prediction = true;
+      } else {
+        // Drift: retune from the miss this archive just measured.
+        // Refinement compresses into `out`, so an in-band refinement probe
+        // is the archive.
+        tuned = make_tuner(target).retune(data, cached, ratio, &out);
       }
+    } else {
+      out.clear();
+      tuned = make_tuner(target).tune(data);
     }
-  } else {
-    out.clear();
-    Result<TuneResult> fresh = tune(field, data);
-    if (!fresh.ok()) return fresh.status();
-    tuned = std::move(fresh).value();
+    record_tune(field, target, tuned);
+  } catch (...) {
+    return status_from_current_exception();
   }
   if (out.empty()) {
     const Status s = compress_at(tuned.error_bound, data, out);
@@ -158,9 +155,9 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
     *outcome = CompressOutcome{};
     outcome->error_bound = tuned.error_bound;
     outcome->achieved_ratio = ratio;
-    outcome->warm = warm_hit;
+    outcome->warm = tuned.from_prediction;
     outcome->refined = tuned.refined;
-    outcome->retrained = !warm_hit && !tuned.from_prediction && !tuned.refined;
+    outcome->retrained = tuned.retrained();
     outcome->in_band = ratio_acceptable(ratio, target, epsilon);
   }
   return Status();

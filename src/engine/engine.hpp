@@ -10,7 +10,9 @@
 /// API: bounds are keyed by (field, target ratio), and every tune through
 /// the Engine warm-starts from the last feasible bound for that key.  A
 /// climate campaign that calls `compress("CLOUD", step_t)` per time step
-/// pays full training once and a single confirmation probe afterwards.
+/// pays full training once and a single confirmation probe afterwards.  An
+/// online (in-situ) stream is the same thing with one field key: each
+/// arriving frame goes through `compress(key, frame, out, &outcome)`.
 ///
 /// All entry points are non-throwing (Status / Result), matching the
 /// CompressorV2 contract — an Engine is what a long-running service embeds,
@@ -83,8 +85,14 @@ struct CompressOutcome {
   bool refined = false;
 };
 
-/// Facade over registry + tuner + bound cache.  Not thread-safe; give each
-/// worker its own Engine.  The two caches — the warm BoundStore and the
+/// Facade over registry + tuner + bound cache.
+///
+/// One carry rule, for tune() and compress() alike: a tuning pass whose
+/// result is in band leaves its bound cached for the key, and one whose
+/// result is out of band drops the key, so the next call trains instead of
+/// probing a bound already proven stale.
+///
+/// Not thread-safe; give each worker its own Engine.  The two caches — the warm BoundStore and the
 /// dedup ProbeCache — ARE thread-safe and are meant to be shared: sibling
 /// worker Engines adopt one store so every worker warm-starts from the
 /// freshest feasible bounds and identical probes are paid once
@@ -136,7 +144,8 @@ public:
   Result<pressio::FidelityReport> evaluate(const std::string& field,
                                            const ArrayView& data) noexcept;
 
-  /// Last feasible bound cached for (field, default target); 0 when none.
+  /// Bound cached for (field, default target); 0 when none, or when the
+  /// last tuning pass for the key ended out of band.
   double cached_bound(const std::string& field) const noexcept {
     return cached_bound(field, config_.tuner.target_ratio);
   }
@@ -151,8 +160,8 @@ public:
   }
   void seed_bound(const std::string& field, double target_ratio, double bound) noexcept;
 
-  /// Drop every cached bound (e.g. at a simulation restart).  Affects the
-  /// adopted store — siblings sharing it forget too.
+  /// Drop every cached bound (e.g. at a simulation or stream restart).
+  /// Affects the adopted store — siblings sharing it forget too.
   void clear_cache() noexcept { bounds_->clear(); }
 
   /// Share warm-bound knowledge with sibling Engines: replace this Engine's
@@ -176,8 +185,8 @@ public:
 private:
   /// The tuner of one call at \p target_ratio, over the shared probe cache.
   Tuner make_tuner(double target_ratio) const;
-  /// Fold one tuning pass into the counters and apply Algorithm 3's carry
-  /// rule (only an in-band bound is cached for the next call).
+  /// Fold one tuning pass into the counters and apply the carry rule (see
+  /// the class comment).
   void record_tune(const std::string& field, double target_ratio, const TuneResult& result);
 
   EngineConfig config_;

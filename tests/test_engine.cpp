@@ -6,7 +6,6 @@
 #include <cstring>
 #include <memory>
 
-#include "core/online.hpp"
 #include "curve_compressor.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
@@ -296,6 +295,10 @@ TEST(Engine, CacheIsKeyedByFieldAndTarget) {
 
   engine.clear_cache();
   EXPECT_EQ(engine.cached_bound("a"), 0.0);
+  // The next tune trains from scratch again.
+  const auto again = engine.tune("a", field.view());
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().retrained());
 }
 
 TEST(Engine, CompressReusesCallerBufferAcrossFrames) {
@@ -383,34 +386,63 @@ TEST(Engine, RefinedDriftKeepsTheInBandProbeAsTheArchive) {
   EXPECT_EQ(std::memcmp(out.data(), expected.data(), expected.size()), 0);
 }
 
-TEST(OnlineTunerV2, RefinedDriftKeepsTheInBandProbeAsTheArchive) {
+TEST(Engine, OutOfBandRetuneDropsTheCachedBound) {
+  // The user's max bound U caps the scaled bound the curve sees, so a field
+  // 100x louder has a ratio ceiling far below the band: the drift is
+  // infeasible, and its retune ends out of band.  The stale bound must be
+  // dropped, so the next call trains instead of probing it again.
   const auto calls = counting_calls();
-  auto prototype = pressio::registry().create("curve-counting");
-  TunerConfig cfg;
-  cfg.target_ratio = 10.0;
-  cfg.epsilon = 0.1;
-  cfg.threads = 1;
-  OnlineTuner online(*prototype, cfg);
+  EngineConfig config = fast_config("curve-counting", 10.0);
+  config.tuner.threads = 1;
+  config.tuner.max_error_bound = 0.2;
   const NdArray calm = make_field(DType::kFloat32, {16, 16, 16}, 50.0);
-  const NdArray wild = make_field(DType::kFloat32, {16, 16, 16}, 400.0);
-  Buffer out;
-  ASSERT_TRUE(online.push_into(calm.view(), out).ok());
-  ASSERT_TRUE(online.push_into(calm.view(), out).ok());
+  const NdArray wild = make_field(DType::kFloat32, {16, 16, 16}, 5000.0);
+  testhelpers::CurveCompressor reference("curve-counting", testhelpers::power_curve(0.6));
+  const TuneResult trained = Tuner(reference, config.tuner).tune(wild.view());
+  ASSERT_FALSE(trained.feasible);
 
-  const int before = calls->load();
-  StepOutcome drift;
-  ASSERT_TRUE(online.push_into(wild.view(), out, &drift).ok());
-  EXPECT_TRUE(drift.result.refined);
-  EXPECT_FALSE(drift.retrained);
-  // compress_calls counts the warm miss and the k refinement probes; no
-  // archive pass follows.
-  EXPECT_EQ(calls->load() - before, drift.result.compress_calls);
-  EXPECT_LE(drift.result.compress_calls, 1 + kRefineProbeCap);
-  EXPECT_EQ(online.stats().refines, 1u);
-  EXPECT_EQ(online.stats().retrains, 1u);
-  EXPECT_TRUE(ratio_acceptable(static_cast<double>(wild.size_bytes()) /
-                                   static_cast<double>(out.size()),
-                               10.0, 0.1));
+  {  // tune()
+    Engine engine(config);
+    const auto first = engine.tune("f", calm.view());
+    ASSERT_TRUE(first.ok() && first.value().feasible);
+    ASSERT_GT(engine.cached_bound("f"), 0.0);
+    const auto drift = engine.tune("f", wild.view());
+    ASSERT_TRUE(drift.ok());
+    EXPECT_FALSE(drift.value().feasible);
+    EXPECT_EQ(engine.cached_bound("f"), 0.0);
+
+    const auto next = engine.tune("f", wild.view());
+    ASSERT_TRUE(next.ok());
+    EXPECT_TRUE(next.value().retrained());
+    EXPECT_FALSE(next.value().from_prediction);
+    // Training alone: no warm probe and no refinement ahead of it.
+    EXPECT_EQ(next.value().compress_calls, trained.compress_calls);
+    EXPECT_DOUBLE_EQ(next.value().error_bound, trained.error_bound);
+  }
+  {  // compress()
+    Engine engine(config);
+    Buffer out;
+    CompressOutcome outcome;
+    ASSERT_TRUE(engine.compress("f", calm.view(), out, &outcome).ok());
+    ASSERT_TRUE(outcome.in_band);
+    ASSERT_TRUE(engine.compress("f", wild.view(), out, &outcome).ok());
+    EXPECT_FALSE(outcome.in_band);
+    EXPECT_EQ(engine.cached_bound("f"), 0.0);
+
+    const int before = calls->load();
+    const std::size_t probes_before =
+        engine.stats().tuner_probe_calls + engine.stats().probe_cache_hits;
+    ASSERT_TRUE(engine.compress("f", wild.view(), out, &outcome).ok());
+    EXPECT_TRUE(outcome.retrained);
+    EXPECT_FALSE(outcome.warm);
+    EXPECT_DOUBLE_EQ(outcome.error_bound, trained.error_bound);
+    EXPECT_EQ(engine.stats().tuner_probe_calls + engine.stats().probe_cache_hits -
+                  probes_before,
+              static_cast<std::size_t>(trained.compress_calls));
+    // The probe cache serves the repeated training, so the archive is the
+    // only compression; a warm probe of the stale bound would be another.
+    EXPECT_EQ(calls->load() - before, 1);
+  }
 }
 
 TEST(Engine, EvaluateReportsFidelityAtTunedBound) {
@@ -433,46 +465,36 @@ TEST(Engine, DecompressGarbageIsAStatus) {
 
 // ----------------------------------------------------- streaming fast path
 
-TEST(OnlineTunerV2, PushIntoWarmAndDriftPaths) {
-  auto c = pressio::registry().create("sz");
-  TunerConfig cfg;
-  cfg.target_ratio = 5.0;
-  cfg.epsilon = 0.1;
-  cfg.threads = 2;
-  OnlineTuner online(*c, cfg);
+TEST(Engine, CompressRetunesADriftedStreamFromTheMiss) {
+  Engine engine(fast_config("sz"));
   const NdArray calm = test_field();
   Buffer out;
 
-  StepOutcome first;
-  ASSERT_TRUE(online.push_into(calm.view(), out, &first).ok());
+  CompressOutcome first;
+  ASSERT_TRUE(engine.compress("stream", calm.view(), out, &first).ok());
   EXPECT_TRUE(first.retrained);
-  ASSERT_GT(online.carried_bound(), 0.0);
+  ASSERT_GT(engine.cached_bound("stream"), 0.0);
   ASSERT_GT(out.size(), 0u);
 
-  // Warm frame: identical data — the archive doubles as the acceptance
-  // probe, so the frame costs exactly ONE compression.
-  StepOutcome warm;
-  ASSERT_TRUE(online.push_into(calm.view(), out, &warm).ok());
-  EXPECT_TRUE(warm.result.from_prediction);
-  EXPECT_FALSE(warm.retrained);
-  EXPECT_EQ(warm.result.compress_calls, 1);
-
   // Regime change: 1000x the amplitude pushes the carried bound's achieved
-  // ratio out of the band — the stream must retune, and the failed warm
-  // archive is counted as the prediction probe it effectively was.  Local
-  // refinement from that miss lands in band, and its in-band probe's bytes
-  // are the frame's archive.
+  // ratio out of the band — the stream must retune from that miss.  Local
+  // refinement lands in band, and its in-band probe's bytes are the frame's
+  // archive.
   const NdArray wild = make_field(DType::kFloat32, {37, 41}, 50000.0);
-  StepOutcome drift;
-  ASSERT_TRUE(online.push_into(wild.view(), out, &drift).ok());
-  EXPECT_TRUE(drift.result.refined);
+  const std::size_t spent = engine.stats().tuner_probe_calls + engine.stats().probe_cache_hits;
+  CompressOutcome drift;
+  ASSERT_TRUE(engine.compress("stream", wild.view(), out, &drift).ok());
+  EXPECT_TRUE(drift.refined);
   EXPECT_FALSE(drift.retrained);
-  EXPECT_FALSE(drift.result.from_prediction);
-  EXPECT_GT(drift.result.compress_calls, 1);
-  EXPECT_LE(drift.result.compress_calls, 1 + kRefineProbeCap);
-  EXPECT_EQ(online.stats().refines, 1u);
+  EXPECT_FALSE(drift.warm);
+  EXPECT_TRUE(drift.in_band);
+  const std::size_t k = engine.stats().tuner_probe_calls + engine.stats().probe_cache_hits -
+                        spent;
+  EXPECT_GE(k, 1u);
+  EXPECT_LE(k, static_cast<std::size_t>(kRefineProbeCap));
+  EXPECT_EQ(engine.field_stats().at("stream").refines, 1u);
   auto reference = pressio::registry().create("sz");
-  reference->set_error_bound(drift.result.error_bound);
+  reference->set_error_bound(drift.error_bound);
   const auto expected = reference->compress(wild.view());
   ASSERT_EQ(out.size(), expected.size());
   EXPECT_EQ(std::memcmp(out.data(), expected.data(), expected.size()), 0);

@@ -1,15 +1,16 @@
 #include <gtest/gtest.h>
 
-#include "core/online.hpp"
 #include "core/quality_tuner.hpp"
 #include "data/datasets.hpp"
+#include "engine/engine.hpp"
 #include "metrics/error_stats.hpp"
 #include "metrics/ssim.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
 
 /// Tests for the paper's §VII future-work features implemented as
-/// extensions: quality-target tuning and the online (in-situ) tuner.
+/// extensions: quality-target tuning and online (in-situ) tuning, which is
+/// an Engine streaming frames under one field key.
 
 namespace fraz {
 namespace {
@@ -104,107 +105,92 @@ TEST(QualityTuner, ConfigValidation) {
   EXPECT_THROW(tune_for_quality(*compressor, field.view(), cfg), InvalidArgument);
 }
 
-// --------------------------------------------------------- online tuner
+// ------------------------------------------------ online (one-key Engine)
 
-TunerConfig online_config(double target) {
-  TunerConfig cfg;
-  cfg.target_ratio = target;
-  cfg.epsilon = 0.1;
-  cfg.threads = 2;
+EngineConfig online_config(double target) {
+  EngineConfig cfg;
+  cfg.compressor = "sz";
+  cfg.tuner.target_ratio = target;
+  cfg.tuner.epsilon = 0.1;
+  cfg.tuner.threads = 2;
   return cfg;
 }
 
-TEST(OnlineTuner, FirstFrameTrainsLaterFramesReuse) {
-  auto compressor = pressio::registry().create("sz");
-  OnlineTuner online(*compressor, online_config(6.0));
+TEST(OnlineStream, FirstFrameTrainsLaterFramesReuse) {
+  Engine engine(online_config(6.0));
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
   const auto spec = data::field_by_name(ds, "CLOUD");
 
   const NdArray f0 = data::generate_field(spec, 0);
-  const StepOutcome s0 = online.push(f0.view());
-  EXPECT_TRUE(s0.retrained);
-  ASSERT_TRUE(s0.result.feasible);
-  EXPECT_GT(online.carried_bound(), 0.0);
+  const auto s0 = engine.tune("stream", f0.view());
+  ASSERT_TRUE(s0.ok()) << s0.status().to_string();
+  EXPECT_TRUE(s0.value().retrained());
+  ASSERT_TRUE(s0.value().feasible);
+  EXPECT_GT(engine.cached_bound("stream"), 0.0);
 
   int reused = 0;
   for (int t = 1; t <= 4; ++t) {
     const NdArray f = data::generate_field(spec, t);
-    reused += !online.push(f.view()).retrained;
+    const auto s = engine.tune("stream", f.view());
+    ASSERT_TRUE(s.ok()) << t;
+    reused += !s.value().retrained();
   }
   EXPECT_GE(reused, 3);  // slow drift: the bound survives most frames
-  EXPECT_EQ(online.stats().frames, 5u);
-  EXPECT_LE(online.stats().retrains, 2u);
+  EXPECT_EQ(engine.field_stats().at("stream").tunes, 5u);
+  EXPECT_LE(engine.field_stats().at("stream").retrains, 2u);
 }
 
-TEST(OnlineTuner, MatchesBatchSeriesBehaviour) {
+TEST(OnlineStream, EngineTuneSequenceMatchesBatchSeries) {
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
   const auto spec = data::field_by_name(ds, "PHIS");
   const auto arrays = data::generate_series(spec, 4);
 
-  auto compressor = pressio::registry().create("sz");
-  TunerConfig cfg = online_config(6.0);
-  cfg.threads = 1;  // serial for determinism
-
-  OnlineTuner online(*compressor, cfg);
-  std::vector<StepOutcome> streamed;
-  for (const auto& a : arrays) streamed.push_back(online.push(a.view()));
+  EngineConfig cfg = online_config(6.0);
+  cfg.tuner.threads = 1;  // serial for determinism
+  Engine engine(cfg);
+  std::vector<TuneResult> streamed;
+  for (const auto& a : arrays) {
+    auto r = engine.tune("stream", a.view());
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    streamed.push_back(std::move(r).value());
+  }
 
   std::vector<ArrayView> views;
   for (const auto& a : arrays) views.push_back(a.view());
-  const SeriesResult batch = Tuner(*compressor, cfg).tune_series(views);
+  auto compressor = pressio::registry().create("sz");
+  const SeriesResult batch = Tuner(*compressor, cfg.tuner).tune_series(views);
 
+  // tune_series keeps the last in-band bound across an out-of-band step and
+  // the Engine drops it, so the two agree step for step on in-band series.
   ASSERT_EQ(streamed.size(), batch.steps.size());
   for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i].retrained, batch.steps[i].retrained) << "step " << i;
-    EXPECT_DOUBLE_EQ(streamed[i].result.error_bound, batch.steps[i].result.error_bound)
-        << "step " << i;
+    ASSERT_TRUE(batch.steps[i].feasible) << "step " << i;
+    EXPECT_EQ(streamed[i].retrained(), batch.steps[i].retrained()) << "step " << i;
+    EXPECT_EQ(streamed[i].refined, batch.steps[i].refined) << "step " << i;
+    EXPECT_DOUBLE_EQ(streamed[i].error_bound, batch.steps[i].error_bound) << "step " << i;
   }
 }
 
-TEST(OnlineTuner, StatsTrackRatios) {
-  auto compressor = pressio::registry().create("sz");
-  OnlineTuner online(*compressor, online_config(6.0));
-  const NdArray f = cesm_field();
-  online.push(f.view());
-  const OnlineStats& stats = online.stats();
-  EXPECT_EQ(stats.frames, 1u);
-  EXPECT_GT(stats.last_ratio, 0.0);
-  EXPECT_DOUBLE_EQ(stats.ratio_ema, stats.last_ratio);
-  EXPECT_GT(stats.total_compress_calls, 0);
-}
-
-TEST(OnlineTuner, ResetForgetsCarriedBound) {
-  auto compressor = pressio::registry().create("sz");
-  OnlineTuner online(*compressor, online_config(6.0));
-  online.push(cesm_field().view());
-  ASSERT_GT(online.carried_bound(), 0.0);
-  online.reset();
-  EXPECT_EQ(online.carried_bound(), 0.0);
-  EXPECT_EQ(online.stats().frames, 0u);
-  // Next push trains from scratch again.
-  EXPECT_TRUE(online.push(cesm_field().view()).retrained);
-}
-
-TEST(OnlineTuner, RegimeChangeTriggersRetrain) {
+TEST(OnlineStream, RegimeChangeTriggersRetune) {
   // Stream frames from one field, then switch to a very different field:
   // the carried bound must miss the band and trigger retuning.
-  auto compressor = pressio::registry().create("sz");
-  OnlineTuner online(*compressor, online_config(6.0));
+  Engine engine(online_config(6.0));
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
   const NdArray calm = data::generate_field(data::field_by_name(ds, "PHIS"), 0);
-  online.push(calm.view());
-  ASSERT_TRUE(online.stats().frames_in_band == 1);
+  const auto first = engine.tune("stream", calm.view());
+  ASSERT_TRUE(first.ok() && first.value().feasible);
 
   // A field with a completely different amplitude/structure profile.
   const auto hur = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
   const NdArray wild = data::generate_field(data::field_by_name(hur, "QCLOUDf.log10"), 0)
                            .slice2d(4);
-  const StepOutcome jump = online.push(wild.view());
+  const auto jump = engine.tune("stream", wild.view());
+  ASSERT_TRUE(jump.ok());
   // The miss is retuned: local refinement from the carried bound, or global
-  // training when refinement gives up (`retrained`).
-  EXPECT_FALSE(jump.result.from_prediction);
-  EXPECT_TRUE(jump.result.refined || jump.retrained);
-  EXPECT_TRUE(jump.result.feasible);
+  // training when refinement gives up.
+  EXPECT_FALSE(jump.value().from_prediction);
+  EXPECT_TRUE(jump.value().refined || jump.value().retrained());
+  EXPECT_TRUE(jump.value().feasible);
 }
 
 }  // namespace

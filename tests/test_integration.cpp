@@ -211,7 +211,7 @@ TEST(EvaluationConsistency, SeriesTuningStableAcrossSuite) {
   ASSERT_EQ(results.size(), ds.fields.size());
   for (const auto& [name, series] : results) {
     int in_band = 0;
-    for (const auto& step : series.steps) in_band += step.result.feasible;
+    for (const auto& step : series.steps) in_band += step.feasible;
     EXPECT_GE(in_band, 2) << name;
     EXPECT_LE(series.retrain_count, 2) << name;
   }

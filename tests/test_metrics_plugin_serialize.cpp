@@ -151,6 +151,13 @@ TEST(Json, SeriesResultSerializes) {
     pos += 12;
   }
   EXPECT_EQ(count, 3u);
+  // Each step keeps its {"retrained":<bool>,"result":<TuneResult>} shape.
+  for (const TuneResult& step : series.steps) {
+    const std::string entry = std::string("{\"retrained\":") +
+                              (step.retrained() ? "true" : "false") +
+                              ",\"result\":" + to_json(step) + "}";
+    EXPECT_NE(json.find(entry), std::string::npos) << entry;
+  }
 }
 
 }  // namespace

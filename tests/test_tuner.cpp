@@ -207,12 +207,12 @@ TEST(Tuner, SeriesReusesBoundAcrossSteps) {
   const Tuner tuner(*compressor, fast_config(8.0));
   const SeriesResult series = tuner.tune_series(views);
   ASSERT_EQ(series.steps.size(), 6u);
-  EXPECT_TRUE(series.steps[0].retrained);  // first step always trains
+  EXPECT_TRUE(series.steps[0].retrained());  // first step always trains
   // Drift is slow: the majority of steps must reuse the previous bound
   // (paper: "we retrained only a small percentage of the time").
   EXPECT_LE(series.retrain_count, 3);
   int call_sum = 0;
-  for (const auto& s : series.steps) call_sum += s.result.compress_calls;
+  for (const auto& s : series.steps) call_sum += s.compress_calls;
   EXPECT_EQ(call_sum, series.total_compress_calls);
 }
 
@@ -227,8 +227,8 @@ TEST(Tuner, SeriesEveryFeasibleStepInBand) {
   const Tuner tuner(*compressor, fast_config(6.0));
   const SeriesResult series = tuner.tune_series(views);
   for (const auto& s : series.steps) {
-    if (s.result.feasible) {
-      EXPECT_TRUE(ratio_acceptable(s.result.achieved_ratio, 6.0, 0.1));
+    if (s.feasible) {
+      EXPECT_TRUE(ratio_acceptable(s.achieved_ratio, 6.0, 0.1));
     }
   }
 }
@@ -255,7 +255,7 @@ TEST(Tuner, FieldsTunedIndependently) {
   ASSERT_EQ(results.size(), 2u);
   for (const auto& [name, series] : results) {
     ASSERT_EQ(series.steps.size(), 3u) << name;
-    EXPECT_TRUE(series.steps[0].result.feasible) << name;
+    EXPECT_TRUE(series.steps[0].feasible) << name;
   }
 }
 
@@ -428,9 +428,9 @@ TEST(TunerRefine, SeriesCountsRefinedStepsApartFromRetrains) {
   const Tuner tuner(compressor, curve_config());
   const SeriesResult series = tuner.tune_series({calm.view(), wild.view()});
   ASSERT_EQ(series.steps.size(), 2u);
-  EXPECT_TRUE(series.steps[0].retrained);
-  EXPECT_TRUE(series.steps[1].result.refined);
-  EXPECT_FALSE(series.steps[1].retrained);
+  EXPECT_TRUE(series.steps[0].retrained());
+  EXPECT_TRUE(series.steps[1].refined);
+  EXPECT_FALSE(series.steps[1].retrained());
   EXPECT_EQ(series.retrain_count, 1);
   EXPECT_EQ(series.refine_count, 1);
 }
