@@ -82,7 +82,8 @@ struct ArchiveWriteConfig {
   /// Chunk-compression workers; 0 selects hardware concurrency.  Never
   /// affects the output bytes.
   unsigned threads = 0;
-  /// When the backend is "zfp" and a chunk's accuracy-mode ratio misses the
+  /// When the backend declares Capabilities::fixed_rate_mode (zfp, or a
+  /// plugin that wraps it) and a chunk's accuracy-mode ratio misses the
   /// acceptance band (ZFP's bit-plane treads are too coarse on small chunks
   /// — the expressibility limit the paper reports in §VI-B.3), recompress
   /// that chunk in fixed-rate mode at a rate targeting its share of the

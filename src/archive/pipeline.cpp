@@ -196,7 +196,8 @@ public:
         sink_(sink),
         workers_(resolve_workers(config.threads, chunk_count)),
         window_(static_cast<std::size_t>(workers_) + 1),
-        try_rate_fallback_(config.zfp_rate_fallback && config.engine.compressor == "zfp"),
+        try_rate_fallback_(config.zfp_rate_fallback &&
+                           state.tune_engine.capabilities().fixed_rate_mode),
         overhead_(per_chunk_overhead(field_shape, chunk_count)) {
     slots_.resize(chunk_count_);
     outcome_.chunks.resize(chunk_count_);
@@ -337,12 +338,13 @@ private:
         TELEM_SPAN("pack.compress_us");
         status = engine.compress(chunk_key, slice, bytes, &chunk_outcome);
         if (status.ok() && try_rate_fallback_ && !chunk_outcome.in_band) {
-          // The rescue backend inherits the user's zfp options; the rate
-          // search overrides only zfp:mode / zfp:rate per probe.
+          // The rescue backend is the configured one with the user's
+          // options; the rate search overrides only zfp:mode / zfp:rate per
+          // probe.
           try {
             if (!rate_backend)
-              rate_backend =
-                  pressio::registry().create("zfp", config_.engine.compressor_options);
+              rate_backend = pressio::registry().create(config_.engine.compressor,
+                                                        config_.engine.compressor_options);
             status =
                 zfp_rate_rescue(*rate_backend, slice, config_.engine.tuner.target_ratio,
                                 config_.engine.tuner.epsilon, overhead_, bytes, fell_back);

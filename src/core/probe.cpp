@@ -1,6 +1,7 @@
 #include "core/probe.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <thread>
 
@@ -69,6 +70,37 @@ std::uint64_t double_bits(double v) noexcept {
   return bits;
 }
 
+/// The bound every fingerprinted clone is pinned to.  Any positive value
+/// does; only that it is the same for every prototype matters.
+constexpr double kFingerprintBound = 1.0;
+
+/// A clone of \p compressor with its bound pinned to kFingerprintBound, so
+/// its option map no longer carries whatever bound the caller last set.
+pressio::CompressorPtr pinned_clone(const pressio::Compressor& compressor) {
+  pressio::CompressorPtr clone = compressor.clone();
+  clone->set_error_bound(kFingerprintBound);
+  return clone;
+}
+
+/// Name plus the full option map, bound included, exactly as \p compressor
+/// holds them.
+std::uint64_t options_fingerprint(const pressio::Compressor& compressor) {
+  std::uint64_t h = hash_string(compressor.name(), 0x636f6e66ull);
+  for (const auto& [key, value] : compressor.get_options()) {
+    h = hash_string(key, h);
+    h = mix64(h ^ value.index());
+    if (const auto* b = std::get_if<bool>(&value))
+      h = mix64(h ^ static_cast<std::uint64_t>(*b));
+    else if (const auto* i = std::get_if<std::int64_t>(&value))
+      h = mix64(h ^ static_cast<std::uint64_t>(*i));
+    else if (const auto* d = std::get_if<double>(&value))
+      h = mix64(h ^ double_bits(*d));
+    else
+      h = hash_string(std::get<std::string>(value), h);
+  }
+  return h;
+}
+
 }  // namespace
 
 std::uint64_t data_fingerprint(const ArrayView& data) noexcept {
@@ -91,20 +123,7 @@ std::uint64_t data_fingerprint(const ArrayView& data) noexcept {
 }
 
 std::uint64_t compressor_fingerprint(const pressio::Compressor& compressor) {
-  std::uint64_t h = hash_string(compressor.name(), 0x636f6e66ull);
-  for (const auto& [key, value] : compressor.get_options()) {
-    h = hash_string(key, h);
-    h = mix64(h ^ value.index());
-    if (const auto* b = std::get_if<bool>(&value))
-      h = mix64(h ^ static_cast<std::uint64_t>(*b));
-    else if (const auto* i = std::get_if<std::int64_t>(&value))
-      h = mix64(h ^ static_cast<std::uint64_t>(*i));
-    else if (const auto* d = std::get_if<double>(&value))
-      h = mix64(h ^ double_bits(*d));
-    else
-      h = hash_string(std::get<std::string>(value), h);
-  }
-  return h;
+  return options_fingerprint(*pinned_clone(compressor));
 }
 
 // -------------------------------------------------------------- ProbeCache
@@ -171,8 +190,9 @@ void ProbeCache::clear() noexcept {
 
 ProbeExecutor::ProbeExecutor(const pressio::Compressor& prototype, ProbeCachePtr cache,
                              unsigned threads)
-    : prototype_(prototype.clone()),
-      config_fingerprint_(compressor_fingerprint(prototype)),
+    : prototype_(pinned_clone(prototype)),
+      config_fingerprint_(options_fingerprint(*prototype_)),
+      lattice_(prototype_->capabilities().bound_lattice),
       cache_(std::move(cache)),
       threads_(threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads),
       probe_span_name_("tune.probe_us." + prototype.name()),
@@ -186,6 +206,16 @@ ProbeExecutor::ProbeExecutor(const pressio::Compressor& prototype, ProbeCachePtr
 
 std::uint64_t ProbeExecutor::context_key(const ArrayView& data) const noexcept {
   return mix64(config_fingerprint_ ^ data_fingerprint(data));
+}
+
+double ProbeExecutor::lattice_point(double bound) const noexcept {
+  if (lattice_ != pressio::BoundLattice::kPow2 || !(bound > 0) || !std::isfinite(bound))
+    return bound;
+  // frexp gives bound = m * 2^e with m in [0.5, 1), so 2^floor(log2 bound)
+  // is 2^(e-1) — the same flooring zfp applies to its tolerance.
+  int e = 0;
+  std::frexp(bound, &e);
+  return std::ldexp(1.0, e - 1);
 }
 
 std::unique_ptr<ProbeExecutor::Context> ProbeExecutor::checkout() {
@@ -227,26 +257,28 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
   std::vector<ProbeOutcome> out(bounds.size());
 
   // Partition the batch: cache hits are answered immediately; the first
-  // occurrence of each novel bound becomes a miss to execute; repeats of a
-  // miss within the batch wait for that execution.
+  // occurrence of each novel lattice point becomes a miss to execute;
+  // repeats of a miss within the batch wait for that execution.
   struct Miss {
     std::size_t index;
-    double bound;
+    double bound;  ///< the bound compressed at
+    double key;    ///< its lattice point, the cache key
   };
   std::vector<Miss> misses;
   std::vector<std::pair<std::size_t, std::size_t>> repeats;  // (index, miss slot)
-  std::unordered_map<std::uint64_t, std::size_t> batch_first;  // bound bits -> miss slot
+  std::unordered_map<std::uint64_t, std::size_t> batch_first;  // key bits -> miss slot
   std::size_t hits = 0;
   for (std::size_t i = 0; i < bounds.size(); ++i) {
+    const double key = lattice_point(bounds[i]);
     ProbeRecord cached;
-    if (cache_->lookup(context, bounds[i], cached)) {
+    if (cache_->lookup(context, key, cached)) {
       out[i] = ProbeOutcome{cached, true};
       ++hits;
       continue;
     }
-    const auto [it, fresh] = batch_first.try_emplace(double_bits(bounds[i]), misses.size());
+    const auto [it, fresh] = batch_first.try_emplace(double_bits(key), misses.size());
     if (fresh) {
-      misses.push_back(Miss{i, bounds[i]});
+      misses.push_back(Miss{i, bounds[i], key});
     } else {
       repeats.emplace_back(i, it->second);
       ++hits;
@@ -261,7 +293,7 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
       checkin(std::move(worker));
     });
     for (std::size_t m = 0; m < misses.size(); ++m) {
-      cache_->insert(context, misses[m].bound, records[m]);
+      cache_->insert(context, misses[m].key, records[m]);
       out[misses[m].index] = ProbeOutcome{records[m], false};
     }
   }
@@ -284,7 +316,7 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
 ProbeOutcome ProbeExecutor::probe_ratio(const ArrayView& data, std::uint64_t context,
                                         double bound, Buffer* out) {
   ProbeRecord cached;
-  if (cache_->lookup(context, bound, cached)) {
+  if (cache_->lookup(context, lattice_point(bound), cached)) {
     probe_cache_hits_counter().add();
     cache_hits_backend_->add();
     LockGuard lock(mutex_);
@@ -300,7 +332,7 @@ ProbeOutcome ProbeExecutor::probe_ratio(const ArrayView& data, std::uint64_t con
     throw;
   }
   checkin(std::move(worker));
-  cache_->insert(context, bound, record);
+  cache_->insert(context, lattice_point(bound), record);
   LockGuard lock(mutex_);
   ++executed_;
   return ProbeOutcome{record, false};
@@ -313,7 +345,7 @@ ProbeOutcome ProbeExecutor::probe_quality(const ArrayView& data, std::uint64_t c
   const std::uint64_t tagged =
       mix64(context ^ (0x7175616cull + static_cast<std::uint64_t>(metric)));
   ProbeRecord cached;
-  if (cache_->lookup(tagged, bound, cached)) {
+  if (cache_->lookup(tagged, lattice_point(bound), cached)) {
     probe_cache_hits_counter().add();
     cache_hits_backend_->add();
     LockGuard lock(mutex_);
@@ -341,12 +373,16 @@ ProbeOutcome ProbeExecutor::probe_quality(const ArrayView& data, std::uint64_t c
     throw;
   }
   checkin(std::move(worker));
-  cache_->insert(tagged, bound, record);
+  cache_->insert(tagged, lattice_point(bound), record);
   probes_executed_counter().add();
   probes_executed_backend_->add();
   LockGuard lock(mutex_);
   ++executed_;
   return ProbeOutcome{record, false};
+}
+
+void ProbeExecutor::record_ratio(std::uint64_t context, double bound, double ratio) {
+  cache_->insert(context, lattice_point(bound), ProbeRecord{ratio, 0});
 }
 
 std::size_t ProbeExecutor::executed() const noexcept {

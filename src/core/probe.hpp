@@ -5,7 +5,7 @@
 /// The shared probe layer under every tuner: one place that spends
 /// compressor evaluations, batched onto the shared thread pool and
 /// deduplicated through a cache keyed by (data fingerprint, compressor
-/// configuration, error bound).
+/// configuration, lattice point of the error bound).
 ///
 /// The paper observes that probe evaluations dominate tuning cost and that
 /// overlapping regions re-evaluate the same bounds (§V-C).  Before this
@@ -17,6 +17,18 @@
 /// cost exactly one compression, and a deterministic backend makes a cached
 /// ratio indistinguishable from a fresh one — so caching can never change a
 /// tuned bound, only the number of compressions spent reaching it.
+///
+/// What the key holds:
+///  - the data fingerprint (data_fingerprint below);
+///  - the compressor's name and options with its bound pinned to one fixed
+///    value (compressor_fingerprint), so a prototype's current bound — which
+///    Engine::compress moves on every call — never splits the cache;
+///  - the bound's point on the backend's lattice (Capabilities::
+///    bound_lattice), not the raw bound.  For a kPow2 backend (zfp accuracy
+///    mode) every bound in [2^k, 2^(k+1)) gives the same size and decoded
+///    values, so the whole tread costs one compression.  A probe that does
+///    run the compressor still runs it at the raw bound asked for, so bytes
+///    a caller keeps are the bytes of that bound.
 
 #include <cstdint>
 #include <memory>
@@ -60,9 +72,10 @@ inline constexpr std::size_t kFingerprintWindowBytes = 256;
 /// ratio estimate, never a correctness failure.
 std::uint64_t data_fingerprint(const ArrayView& data) noexcept;
 
-/// Fingerprint of a compressor's identity and configuration (name plus the
-/// full option map).  The probe axis — the error bound — is keyed
-/// separately, so a prototype's current bound setting does not matter.
+/// Fingerprint of a compressor's identity and configuration: its name plus
+/// the full option map of a clone whose error bound is pinned to one fixed
+/// value.  The probe axis — the error bound — is keyed separately, so a
+/// prototype's current bound setting does not matter.
 std::uint64_t compressor_fingerprint(const pressio::Compressor& compressor);
 
 /// One cached probe observation.
@@ -143,11 +156,11 @@ public:
   std::uint64_t context_key(const ArrayView& data) const noexcept;
 
   /// Evaluate ratio probes for one batch of bounds (one search round).
-  /// Results are positionally aligned with \p bounds.  Duplicate bounds in
-  /// the batch and cache hits cost nothing; misses run concurrently up to
-  /// the thread cap on the shared pool, the calling thread included (so a
-  /// batch issued from inside a pool task cannot stall).  Throws on
-  /// compression failure.
+  /// Results are positionally aligned with \p bounds.  Bounds sharing a
+  /// lattice point in the batch and cache hits cost nothing; misses run
+  /// concurrently up to the thread cap on the shared pool, the calling
+  /// thread included (so a batch issued from inside a pool task cannot
+  /// stall).  Throws on compression failure.
   std::vector<ProbeOutcome> probe_ratios(const ArrayView& data, std::uint64_t context,
                                          const std::vector<double>& bounds);
 
@@ -164,6 +177,10 @@ public:
   ProbeOutcome probe_quality(const ArrayView& data, std::uint64_t context, double bound,
                              QualityMetric metric);
 
+  /// Record a ratio measured outside the executor (a warm archive that
+  /// missed the band), so no probe pays for that bound again.
+  void record_ratio(std::uint64_t context, double bound, double ratio);
+
   const ProbeCachePtr& cache() const noexcept { return cache_; }
   /// Compressor invocations actually spent by this executor.
   std::size_t executed() const noexcept;
@@ -178,6 +195,11 @@ private:
     NdArray decoded;
   };
 
+  /// The representative of \p bound's lattice point: the bound itself on a
+  /// continuous backend, 2^floor(log2 bound) on a kPow2 one.  Every cache key
+  /// goes through this.
+  double lattice_point(double bound) const noexcept;
+
   std::unique_ptr<Context> checkout();
   void checkin(std::unique_ptr<Context> context);
   ProbeRecord execute_ratio(Context& context, const ArrayView& data, double bound,
@@ -185,6 +207,7 @@ private:
 
   pressio::CompressorPtr prototype_;
   std::uint64_t config_fingerprint_;
+  pressio::BoundLattice lattice_;
   ProbeCachePtr cache_;
   unsigned threads_;
 

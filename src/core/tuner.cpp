@@ -244,7 +244,7 @@ TuneResult Tuner::refine(const ArrayView& data, std::uint64_t context, double mi
                          double missed_ratio, Buffer* archive) const {
   TuneResult result;
   if (!(missed_bound > 0) || !(missed_ratio > 0)) return result;
-  cache_->insert(context, missed_bound, ProbeRecord{missed_ratio, 0});
+  executor_.record_ratio(context, missed_bound, missed_ratio);
   // A lossless backend's ratio does not depend on the bound: nothing to
   // refine, and training settles it with one probe.
   if (prototype_->capabilities().lossless) return result;

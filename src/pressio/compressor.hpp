@@ -37,6 +37,18 @@ namespace fraz::pressio {
 class Compressor;
 using CompressorPtr = std::unique_ptr<Compressor>;
 
+/// The set of error bounds a backend can tell apart (Capabilities::
+/// bound_lattice).  Two bounds on the same lattice point give the same
+/// compressed size and the same decoded values; only the bound the payload
+/// may record differs.
+enum class BoundLattice : std::uint8_t {
+  /// Every bound may behave differently (the conservative default).
+  kContinuous = 0,
+  /// Only floor(log2 bound) matters: every bound in [2^k, 2^(k+1)) realises
+  /// the same bit plane (zfp's accuracy mode, emin = floor(log2 tolerance)).
+  kPow2 = 1,
+};
+
 /// Static description of what a backend can do.  Returned by value from
 /// capabilities(); cheap enough for setup-time introspection (not intended
 /// for per-element hot loops).
@@ -69,6 +81,14 @@ struct Capabilities {
   /// run intra-chunk parallel with thread-count-invariant bytes (sz's
   /// "<name>:mode=blocked" option).
   bool blocked_mode = false;
+  /// Which bounds the backend can tell apart.  The probe layer keys its
+  /// cache on the lattice point, so a search that probes several bounds of
+  /// one point pays one compression.
+  BoundLattice bound_lattice = BoundLattice::kContinuous;
+  /// True when the backend also offers zfp's fixed-rate mode through the
+  /// "zfp:mode" = "rate" and "zfp:rate" options.  The archive writer rescues
+  /// a chunk whose band no accuracy bound can reach by searching the rate.
+  bool fixed_rate_mode = false;
 
   /// Convenience probe: can the backend compress rank-\p dims data of \p t?
   bool supports(DType t, std::size_t dims) const noexcept {

@@ -113,6 +113,12 @@ public:
     // Fixed-rate mode bounds the *rate*, not the pointwise error; only the
     // accuracy mode (which FRaZ tunes) is error-bounded.
     c.error_bounded = opt_.mode == ZfpMode::kAccuracy;
+    // Accuracy mode codes down to emin = floor(log2 tolerance) and records
+    // the raw tolerance in a fixed 8 bytes, so size and decoded values depend
+    // on the bit plane alone.  Rate mode ignores the bound entirely; leave it
+    // continuous rather than claim a lattice it does not have.
+    if (opt_.mode == ZfpMode::kAccuracy) c.bound_lattice = BoundLattice::kPow2;
+    c.fixed_rate_mode = true;
     return c;
   }
 

@@ -432,6 +432,31 @@ TEST(Archive, ZfpRateFallbackRescuesSmallChunkBand) {
   EXPECT_EQ(std::memcmp(rescued.data(), parallel.data(), rescued.size()), 0);
 }
 
+TEST(Archive, ZfpRateFallbackFollowsTheCapabilityNotTheName) {
+  // The rescue is keyed on Capabilities::fixed_rate_mode, not on the
+  // registry name, so a user plugin wrapping zfp keeps it: the wrapped pack
+  // rescues the same chunks into the same payloads as plain zfp.
+  testhelpers::register_forwarding_plugin("zfp-echo", "zfp");
+  const auto hurricane = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
+  const NdArray field = data::generate_field(data::field_by_name(hurricane, "TCf"), 0);
+  const double target = 10.0, epsilon = 0.1;
+
+  Buffer plain, wrapped;
+  const ArchiveWriteResult plain_result =
+      pack(field.view(), writer_config("zfp", target, epsilon, 2), plain);
+  const ArchiveWriteResult wrapped_result =
+      pack(field.view(), writer_config("zfp-echo", target, epsilon, 2), wrapped);
+  EXPECT_GT(wrapped_result.rate_fallback_chunks, 0u);
+  EXPECT_EQ(wrapped_result.rate_fallback_chunks, plain_result.rate_fallback_chunks);
+  EXPECT_TRUE(wrapped_result.in_band) << "aggregate ratio " << wrapped_result.achieved_ratio;
+  ASSERT_EQ(wrapped_result.chunks.size(), plain_result.chunks.size());
+  for (std::size_t i = 0; i < plain_result.chunks.size(); ++i) {
+    EXPECT_EQ(wrapped_result.chunks[i].rate_fallback, plain_result.chunks[i].rate_fallback) << i;
+    EXPECT_EQ(wrapped_result.chunks[i].entry.crc, plain_result.chunks[i].entry.crc) << i;
+  }
+  EXPECT_EQ(open_ok(wrapped).info().compressor, "zfp-echo");
+}
+
 TEST(Archive, FrozenFixturesDecodeToPinnedArrays) {
   // Read compatibility forever: every checked-in v1/v2 archive still opens
   // through the one reader, from memory and from a file (mmap and pread),
@@ -507,45 +532,10 @@ TEST(Archive, FormatV1FixtureHoldsTheChunksAV3WriteEmits) {
   }
 }
 
-// A user plugin delegating to sz under a name no built-in container id covers.
-class SzEchoPlugin final : public pressio::Compressor {
-public:
-  SzEchoPlugin() : inner_(pressio::registry().create("sz")) {}
-  SzEchoPlugin(const SzEchoPlugin& other) : inner_(other.inner_->clone()) {}
-
-  std::string name() const override { return "sz-echo"; }
-  pressio::Capabilities capabilities() const override {
-    pressio::Capabilities c = inner_->capabilities();
-    c.name = "sz-echo";
-    return c;
-  }
-  pressio::Options get_options() const override { return inner_->get_options(); }
-  void set_options(const pressio::Options& options) override { inner_->set_options(options); }
-  void set_error_bound(double bound) override { inner_->set_error_bound(bound); }
-  double error_bound() const override { return inner_->error_bound(); }
-  Status compress_into(const ArrayView& input, Buffer& out) const noexcept override {
-    return inner_->compress_into(input, out);
-  }
-  Status decompress_into(const std::uint8_t* data, std::size_t size,
-                         NdArray& out) const noexcept override {
-    return inner_->decompress_into(data, size, out);
-  }
-  pressio::CompressorPtr clone() const override {
-    return std::make_unique<SzEchoPlugin>(*this);
-  }
-
-private:
-  pressio::CompressorPtr inner_;
-};
-
-void register_sz_echo() {
-  if (!pressio::registry().contains("sz-echo"))
-    pressio::registry().register_factory("sz-echo",
-                                         [] { return std::make_unique<SzEchoPlugin>(); });
-}
-
 TEST(Archive, PluginBackendRoundTripsByName) {
-  register_sz_echo();
+  // A user plugin delegating to sz under a name no built-in container id
+  // covers.
+  testhelpers::register_forwarding_plugin("sz-echo", "sz");
   const NdArray field = make_field(DType::kFloat32, {6, 12, 10});
   Buffer bytes;
   pack(field.view(), writer_config("sz-echo", 6.0, 0.2, 2), bytes);

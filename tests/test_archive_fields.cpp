@@ -27,6 +27,7 @@ using archive::FieldDesc;
 using archive::FieldSession;
 using archive::FieldWriteReport;
 using testhelpers::make_field;
+using testhelpers::TempFiles;
 
 ArchiveWriteConfig writer_config(const std::string& backend, double target, double epsilon,
                                  std::size_t chunk_extent = 0, unsigned threads = 1) {
@@ -65,20 +66,6 @@ void push_all(FieldSession& session, const NdArray& field, std::size_t slab_plan
     ASSERT_TRUE(s.ok()) << s.to_string();
   }
 }
-
-class TempFiles {
-public:
-  ~TempFiles() {
-    for (const std::string& path : paths_) std::remove(path.c_str());
-  }
-  std::string make(const std::string& name) {
-    paths_.push_back("fraz_test_fields_" + name + ".tmp");
-    return paths_.back();
-  }
-
-private:
-  std::vector<std::string> paths_;
-};
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary | std::ios::ate);

@@ -20,6 +20,7 @@ using archive::ArchiveWriteConfig;
 using archive::ArchiveWriteResult;
 using archive::FileReadMode;
 using testhelpers::make_field;
+using testhelpers::TempFiles;
 
 ArchiveWriteConfig writer_config(const std::string& backend, double target, double epsilon,
                                  std::size_t chunk_extent = 0, unsigned threads = 1) {
@@ -31,21 +32,6 @@ ArchiveWriteConfig writer_config(const std::string& backend, double target, doub
   config.threads = threads;
   return config;
 }
-
-/// Files created by one test, removed on scope exit.
-class TempFiles {
-public:
-  ~TempFiles() {
-    for (const std::string& path : paths_) std::remove(path.c_str());
-  }
-  std::string make(const std::string& name) {
-    paths_.push_back("fraz_test_" + name + ".tmp");
-    return paths_.back();
-  }
-
-private:
-  std::vector<std::string> paths_;
-};
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary | std::ios::ate);

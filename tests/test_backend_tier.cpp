@@ -23,6 +23,7 @@ namespace {
 using archive::ArchiveWriter;
 using archive::ArchiveWriteConfig;
 using testhelpers::make_field;
+using testhelpers::TempFiles;
 
 ArchiveWriteConfig writer_config(const std::string& backend, double target, double epsilon,
                                  std::size_t chunk_extent = 0, unsigned threads = 1) {
@@ -73,20 +74,6 @@ TEST(BackendTier, SzxTunesIntoTheBandOnTheFig6Workload) {
 }
 
 // -------------------------------------------- archive worker invariance
-
-class TempFiles {
-public:
-  ~TempFiles() {
-    for (const std::string& path : paths_) std::remove(path.c_str());
-  }
-  std::string make(const std::string& name) {
-    paths_.push_back("fraz_test_tier_" + name + ".tmp");
-    return paths_.back();
-  }
-
-private:
-  std::vector<std::string> paths_;
-};
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary | std::ios::ate);

@@ -3,16 +3,23 @@
 
 /// Shared fixtures for the compressor and tuner tests: small deterministic
 /// fields with realistic structure (smooth + texture) in 1D/2D/3D and both
-/// scalar types, plus error measurement helpers.
+/// scalar types, error measurement helpers, per-process scratch files, and a
+/// forwarding plugin that stands in for a user backend wrapping a built-in.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "archive/archive.hpp"
 #include "ndarray/ndarray.hpp"
@@ -58,6 +65,77 @@ inline double mean_squared_error(const NdArray& a, const NdArray& b) {
     s += d * d;
   }
   return s / static_cast<double>(a.elements());
+}
+
+/// Scratch files removed on scope exit.  Names carry the process id, so two
+/// runs of one test binary from the same directory never touch each other's
+/// files.
+class TempFiles {
+public:
+  TempFiles() = default;
+  TempFiles(const TempFiles&) = delete;
+  TempFiles& operator=(const TempFiles&) = delete;
+  ~TempFiles() {
+    for (const std::string& path : paths_) std::remove(path.c_str());
+  }
+
+  /// A fresh path for \p name, relative to the working directory.
+  std::string make(const std::string& name) {
+    paths_.push_back("fraz_test_" + std::to_string(::getpid()) + "_" + name + ".tmp");
+    return paths_.back();
+  }
+
+private:
+  std::vector<std::string> paths_;
+};
+
+/// A user plugin that forwards every call to a built-in backend under its
+/// own registry name — what a tracing or metering wrapper looks like to the
+/// framework.  Capabilities are the inner backend's, except the name and,
+/// when given, the declared bound lattice.
+class ForwardingPlugin final : public pressio::Compressor {
+public:
+  ForwardingPlugin(std::string name, const std::string& inner,
+                   std::optional<pressio::BoundLattice> lattice)
+      : name_(std::move(name)), inner_(pressio::registry().create(inner)), lattice_(lattice) {}
+  ForwardingPlugin(const ForwardingPlugin& other)
+      : name_(other.name_), inner_(other.inner_->clone()), lattice_(other.lattice_) {}
+
+  std::string name() const override { return name_; }
+  pressio::Capabilities capabilities() const override {
+    pressio::Capabilities c = inner_->capabilities();
+    c.name = name_;
+    if (lattice_) c.bound_lattice = *lattice_;
+    return c;
+  }
+  pressio::Options get_options() const override { return inner_->get_options(); }
+  void set_options(const pressio::Options& options) override { inner_->set_options(options); }
+  void set_error_bound(double bound) override { inner_->set_error_bound(bound); }
+  double error_bound() const override { return inner_->error_bound(); }
+  Status compress_into(const ArrayView& input, Buffer& out) const noexcept override {
+    return inner_->compress_into(input, out);
+  }
+  Status decompress_into(const std::uint8_t* data, std::size_t size,
+                         NdArray& out) const noexcept override {
+    return inner_->decompress_into(data, size, out);
+  }
+  pressio::CompressorPtr clone() const override {
+    return std::make_unique<ForwardingPlugin>(*this);
+  }
+
+private:
+  std::string name_;
+  pressio::CompressorPtr inner_;
+  std::optional<pressio::BoundLattice> lattice_;
+};
+
+/// Register a ForwardingPlugin as \p name (once per process).
+inline void register_forwarding_plugin(const std::string& name, const std::string& inner,
+                                       std::optional<pressio::BoundLattice> lattice = {}) {
+  if (pressio::registry().contains(name)) return;
+  pressio::registry().register_factory(name, [name, inner, lattice] {
+    return std::make_unique<ForwardingPlugin>(name, inner, lattice);
+  });
 }
 
 /// Path of a checked-in file under tests/corpus/.

@@ -35,21 +35,7 @@ using serve::ReaderHandle;
 using serve::ReaderPool;
 using serve::ReaderPoolConfig;
 using testhelpers::make_field;
-
-/// Files created by one test, removed on scope exit.
-class TempFiles {
-public:
-  ~TempFiles() {
-    for (const std::string& path : paths_) std::remove(path.c_str());
-  }
-  std::string make(const std::string& name) {
-    paths_.push_back("fraz_test_" + name + ".tmp");
-    return paths_.back();
-  }
-
-private:
-  std::vector<std::string> paths_;
-};
+using testhelpers::TempFiles;
 
 ArchiveWriteConfig writer_config(const std::string& backend, double target,
                                  double epsilon, std::size_t chunk_extent = 0,

@@ -23,6 +23,7 @@ namespace {
 
 using testhelpers::make_field;
 using testhelpers::max_error;
+using testhelpers::TempFiles;
 
 SzOptions blocked_options(double bound, bool regression = true, unsigned threads = 0) {
   SzOptions opt;
@@ -265,7 +266,8 @@ TEST(SzBlocked, FileTransportMatchesBufferTransport) {
   ASSERT_TRUE(
       archive::ArchiveWriter(blocked_writer_config(8.0, 3, 1)).write(field.view(), via_buffer).ok());
 
-  const std::string path = "fraz_test_sz_blocked_transport.tmp";
+  TempFiles tmp;
+  const std::string path = tmp.make("sz_blocked_transport");
   for (const unsigned threads : {1u, 4u}) {
     archive::ArchiveWriter writer(blocked_writer_config(8.0, 3, threads));
     ASSERT_TRUE(writer.write(path, field.view()).ok());
@@ -280,7 +282,6 @@ TEST(SzBlocked, FileTransportMatchesBufferTransport) {
     EXPECT_EQ(std::memcmp(via_file.data(), via_buffer.data(), via_buffer.size()), 0)
         << threads << " workers";
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

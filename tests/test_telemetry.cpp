@@ -29,6 +29,7 @@ using telemetry::Gauge;
 using telemetry::Histogram;
 using telemetry::TraceEvent;
 using testhelpers::make_field;
+using testhelpers::TempFiles;
 
 /// Restore the kill-switch state on scope exit, whatever the test did.
 class EnabledGuard {
@@ -38,21 +39,6 @@ public:
 
 private:
   bool was_;
-};
-
-/// Files created by one test, removed on scope exit.
-class TempFiles {
-public:
-  ~TempFiles() {
-    for (const std::string& path : paths_) std::remove(path.c_str());
-  }
-  std::string make(const std::string& name) {
-    paths_.push_back("fraz_test_" + name + ".tmp");
-    return paths_.back();
-  }
-
-private:
-  std::vector<std::string> paths_;
 };
 
 std::string slurp(const std::string& path) {

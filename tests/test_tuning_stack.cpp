@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "core/probe.hpp"
 #include "core/tuner.hpp"
@@ -23,12 +24,7 @@ namespace fraz {
 namespace {
 
 using testhelpers::make_field;
-
-/// One bound-store checkpoint file, removed on scope exit.
-struct TempBoundFile {
-  std::string path = "fraz_test_bound_store.tmp";
-  ~TempBoundFile() { std::remove(path.c_str()); }
-};
+using testhelpers::TempFiles;
 
 // ------------------------------------------------------- ask/tell stepper
 
@@ -178,6 +174,179 @@ TEST(ProbeExecutor, ConfigChangesTheKey) {
   ProbeExecutor exec_a(*a, cache, 1);
   ProbeExecutor exec_b(*b, cache, 1);
   EXPECT_NE(exec_a.context_key(field.view()), exec_b.context_key(field.view()));
+}
+
+TEST(ProbeExecutor, PrototypeBoundDoesNotChangeTheKey) {
+  // The key fingerprints the configuration with the bound pinned, so a
+  // prototype whose bound was last moved elsewhere (Engine::compress_at)
+  // still shares every cache entry.
+  const NdArray field = make_field(DType::kFloat32, {32, 32});
+  for (const char* backend : {"sz", "zfp", "szx", "mgard", "truncate"}) {
+    auto a = pressio::registry().create(backend);
+    auto b = pressio::registry().create(backend);
+    a->set_error_bound(0.01);
+    b->set_error_bound(3.0);
+    const auto cache = std::make_shared<ProbeCache>();
+    ProbeExecutor exec_a(*a, cache, 1);
+    ProbeExecutor exec_b(*b, cache, 1);
+    EXPECT_EQ(exec_a.context_key(field.view()), exec_b.context_key(field.view())) << backend;
+    EXPECT_EQ(compressor_fingerprint(*a), compressor_fingerprint(*b)) << backend;
+  }
+}
+
+// ------------------------------------------------------ bound lattice
+
+TEST(ProbeExecutor, Pow2BackendPaysOneCompressionPerTread) {
+  // 0.3 and 0.45 both lie in [2^-2, 2^-1): zfp codes the same bit plane, so
+  // the second probe is a hit whose ratio equals a fresh compression's.
+  auto zfp = pressio::registry().create("zfp");
+  ASSERT_EQ(zfp->capabilities().bound_lattice, pressio::BoundLattice::kPow2);
+  const NdArray field = make_field(DType::kFloat32, {32, 32});
+  ProbeExecutor executor(*zfp, std::make_shared<ProbeCache>(), 1);
+  const std::uint64_t context = executor.context_key(field.view());
+
+  const ProbeOutcome first = executor.probe_ratio(field.view(), context, 0.3);
+  const ProbeOutcome second = executor.probe_ratio(field.view(), context, 0.45);
+  EXPECT_FALSE(first.from_cache);
+  EXPECT_TRUE(second.from_cache);
+  EXPECT_EQ(executor.executed(), 1u);
+  EXPECT_EQ(executor.cache_hits(), 1u);
+  zfp->set_error_bound(0.45);
+  const double fresh = static_cast<double>(field.size_bytes()) /
+                       static_cast<double>(zfp->compress(field.view()).size());
+  EXPECT_EQ(second.record.ratio, fresh);
+  EXPECT_EQ(second.record.ratio, first.record.ratio);
+
+  // A ratio recorded from outside the executor lands on its tread too.
+  const NdArray other = make_field(DType::kFloat32, {32, 32}, 70.0);
+  const std::uint64_t other_context = executor.context_key(other.view());
+  executor.record_ratio(other_context, 0.3, 12.5);
+  const ProbeOutcome recorded = executor.probe_ratio(other.view(), other_context, 0.49);
+  EXPECT_TRUE(recorded.from_cache);
+  EXPECT_EQ(recorded.record.ratio, 12.5);
+}
+
+TEST(ProbeExecutor, BoundsAcrossATreadEdgeAreSeparateProbes) {
+  auto zfp = pressio::registry().create("zfp");
+  const NdArray field = make_field(DType::kFloat32, {32, 32});
+  ProbeExecutor executor(*zfp, std::make_shared<ProbeCache>(), 1);
+  const std::uint64_t context = executor.context_key(field.view());
+  EXPECT_FALSE(executor.probe_ratio(field.view(), context, std::nextafter(0.5, 0.0)).from_cache);
+  EXPECT_FALSE(executor.probe_ratio(field.view(), context, 0.5).from_cache);
+  EXPECT_EQ(executor.executed(), 2u);
+
+  // Batches dedup by tread as well: three treads, three executions.
+  ProbeExecutor batch(*zfp, std::make_shared<ProbeCache>(), 4);
+  const std::vector<double> bounds{0.3, 0.45, 0.26, 0.6, 0.99, 2.0};
+  const auto outcomes = batch.probe_ratios(field.view(), context, bounds);
+  EXPECT_EQ(batch.executed(), 3u);
+  EXPECT_EQ(outcomes[0].record.ratio, outcomes[1].record.ratio);
+  EXPECT_EQ(outcomes[0].record.ratio, outcomes[2].record.ratio);
+  EXPECT_EQ(outcomes[3].record.ratio, outcomes[4].record.ratio);
+  EXPECT_TRUE(outcomes[1].from_cache);
+  EXPECT_TRUE(outcomes[4].from_cache);
+  EXPECT_FALSE(outcomes[5].from_cache);
+}
+
+TEST(ProbeExecutor, QualityProbesShareATreadToo) {
+  auto zfp = pressio::registry().create("zfp");
+  const NdArray field = make_field(DType::kFloat32, {32, 32});
+  ProbeExecutor executor(*zfp, std::make_shared<ProbeCache>(), 1);
+  const std::uint64_t context = executor.context_key(field.view());
+  const ProbeOutcome first =
+      executor.probe_quality(field.view(), context, 0.3, QualityMetric::kPsnrDb);
+  const ProbeOutcome second =
+      executor.probe_quality(field.view(), context, 0.45, QualityMetric::kPsnrDb);
+  EXPECT_FALSE(first.from_cache);
+  EXPECT_TRUE(second.from_cache);
+  EXPECT_EQ(second.record.quality, first.record.quality);
+  EXPECT_EQ(second.record.ratio, first.record.ratio);
+  EXPECT_EQ(executor.executed(), 1u);
+  // The ratio key of the same tread stays separate from the quality key.
+  EXPECT_FALSE(executor.probe_ratio(field.view(), context, 0.45).from_cache);
+}
+
+TEST(ProbeExecutor, ContinuousBackendKeysTheRawBound) {
+  // sz declares no lattice: two bounds in one power-of-two tread are two
+  // probes, exactly as before lattices existed.
+  auto sz = pressio::registry().create("sz");
+  ASSERT_EQ(sz->capabilities().bound_lattice, pressio::BoundLattice::kContinuous);
+  const NdArray field = make_field(DType::kFloat32, {32, 32});
+  ProbeExecutor executor(*sz, std::make_shared<ProbeCache>(), 1);
+  const std::uint64_t context = executor.context_key(field.view());
+  EXPECT_FALSE(executor.probe_ratio(field.view(), context, 0.3).from_cache);
+  EXPECT_FALSE(executor.probe_ratio(field.view(), context, 0.45).from_cache);
+  EXPECT_FALSE(
+      executor.probe_quality(field.view(), context, 0.3, QualityMetric::kPsnrDb).from_cache);
+  EXPECT_FALSE(
+      executor.probe_quality(field.view(), context, 0.45, QualityMetric::kPsnrDb).from_cache);
+  EXPECT_EQ(executor.executed(), 4u);
+
+  // zfp in rate mode ignores the bound and declares no lattice either.
+  auto rate = pressio::registry().create(
+      "zfp", pressio::Options{{"zfp:mode", std::string("rate")}, {"zfp:rate", 4.0}});
+  EXPECT_EQ(rate->capabilities().bound_lattice, pressio::BoundLattice::kContinuous);
+}
+
+TEST(Tuner, LatticeKeysChangeCostNotResults) {
+  // A wrapper that forwards zfp but declares a continuous lattice runs the
+  // exact pre-lattice cache.  Tuning and the Engine's compress stream must
+  // give the same bounds, ratios and bytes either way; the lattice only
+  // saves compressions.
+  testhelpers::register_forwarding_plugin("zfp-continuous", "zfp",
+                                          pressio::BoundLattice::kContinuous);
+  const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
+  const NdArray field = data::generate_field(data::field_by_name(ds, "TCf"), 0);
+  auto zfp = pressio::registry().create("zfp");
+  auto continuous = pressio::registry().create("zfp-continuous");
+  for (const double target : {6.0, 12.0, 40.0}) {
+    TunerConfig cfg;
+    cfg.target_ratio = target;
+    cfg.threads = 2;
+    const TuneResult lattice = Tuner(*zfp, cfg).tune(field.view());
+    const TuneResult raw = Tuner(*continuous, cfg).tune(field.view());
+    EXPECT_EQ(lattice.error_bound, raw.error_bound) << target;
+    EXPECT_EQ(lattice.achieved_ratio, raw.achieved_ratio) << target;
+    EXPECT_EQ(lattice.feasible, raw.feasible) << target;
+    EXPECT_EQ(lattice.compress_calls, raw.compress_calls) << target;
+    EXPECT_LT(lattice.compress_calls - lattice.probe_cache_hits,
+              raw.compress_calls - raw.probe_cache_hits)
+        << target;
+  }
+
+  // A drifting stream that takes every path — training, warm hits and
+  // refinements — must take the same one and emit the same bytes.
+  auto engine_for = [](const std::string& backend) {
+    EngineConfig config;
+    config.compressor = backend;
+    config.tuner.target_ratio = 10.0;
+    config.tuner.epsilon = 0.2;
+    config.tuner.threads = 1;
+    return Engine(config);
+  };
+  Engine lattice = engine_for("zfp");
+  Engine raw = engine_for("zfp-continuous");
+  int warm = 0, refined = 0, retrained = 0;
+  for (const double amplitude : {50.0, 50.5, 58.0, 100.0, 100.5, 200.0, 25.0, 400.0, 30.0}) {
+    const NdArray frame = make_field(DType::kFloat32, {24, 30, 18}, amplitude);
+    Buffer a, b;
+    CompressOutcome oa, ob;
+    ASSERT_TRUE(lattice.compress("stream", frame.view(), a, &oa).ok());
+    ASSERT_TRUE(raw.compress("stream", frame.view(), b, &ob).ok());
+    ASSERT_EQ(a.size(), b.size()) << amplitude;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0) << amplitude;
+    EXPECT_EQ(oa.error_bound, ob.error_bound) << amplitude;
+    EXPECT_EQ(oa.warm, ob.warm) << amplitude;
+    EXPECT_EQ(oa.refined, ob.refined) << amplitude;
+    EXPECT_EQ(oa.retrained, ob.retrained) << amplitude;
+    warm += oa.warm;
+    refined += oa.refined;
+    retrained += oa.retrained;
+  }
+  EXPECT_GT(warm, 0);
+  EXPECT_GT(refined, 0);
+  EXPECT_GT(retrained, 0);
+  EXPECT_LT(lattice.stats().tuner_probe_calls, raw.stats().tuner_probe_calls);
 }
 
 // ------------------------------------------------- lockstep determinism
@@ -393,16 +562,17 @@ TEST(ProbeCache, OverwriteWinsAcrossGenerations) {
 }
 
 TEST(BoundStore, SaveLoadRoundTripsBitExactly) {
-  TempBoundFile tmp;
+  TempFiles tmp;
+  const std::string path = tmp.make("bound_store");
   BoundStore store;
   store.put("CLOUD", 10.0, 1.25e-3);
   store.put("CLOUD", 20.0, 7.5e-4);
   store.put("archive:data:chunk:3", 10.0, 0x1.fff3p-11);
-  ASSERT_TRUE(store.save(tmp.path).ok());
+  ASSERT_TRUE(store.save(path).ok());
 
   BoundStore restored;
   restored.put("stale", 1.0, 0.5);  // replaced wholesale by load
-  const Status loaded = restored.load(tmp.path);
+  const Status loaded = restored.load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.to_string();
   EXPECT_EQ(restored.size(), 3u);
   EXPECT_EQ(restored.get("stale", 1.0), 0.0);
@@ -414,18 +584,20 @@ TEST(BoundStore, SaveLoadRoundTripsBitExactly) {
 TEST(BoundStore, EmptyStoreRoundTrips) {
   // A campaign may checkpoint before any tuning (or after clear()); the
   // empty block is a valid checkpoint, not corruption.
-  TempBoundFile tmp;
+  TempFiles tmp;
+  const std::string path = tmp.make("bound_store");
   BoundStore empty;
-  ASSERT_TRUE(empty.save(tmp.path).ok());
+  ASSERT_TRUE(empty.save(path).ok());
   BoundStore restored;
   restored.put("stale", 1.0, 0.5);
-  const Status loaded = restored.load(tmp.path);
+  const Status loaded = restored.load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.to_string();
   EXPECT_EQ(restored.size(), 0u);
 }
 
 TEST(BoundStore, CorruptOrMissingFilesLoadAsStatusesNotThrows) {
-  TempBoundFile tmp;
+  TempFiles tmp;
+  const std::string path = tmp.make("bound_store");
   BoundStore store;
   store.put("f", 10.0, 1e-3);
 
@@ -435,7 +607,7 @@ TEST(BoundStore, CorruptOrMissingFilesLoadAsStatusesNotThrows) {
   EXPECT_EQ(missing.code(), StatusCode::kIoError);
   EXPECT_EQ(store.get("f", 10.0), 1e-3) << "failed load must not clear the store";
 
-  ASSERT_TRUE(store.save(tmp.path).ok());
+  ASSERT_TRUE(store.save(path).ok());
   // Corrupt every byte position in turn: load must return CorruptStream and
   // leave the store untouched — never throw, never half-load.
   Buffer block;
@@ -484,6 +656,28 @@ TEST(Engine, PerFieldStatsTrackEachStream) {
   std::size_t tunes = 0;
   for (const auto& [name, stats] : per_field) tunes += stats.tunes;
   EXPECT_EQ(tunes, engine.stats().tunes);
+}
+
+TEST(Engine, ProbeCacheSurvivesCompressAtMovingTheBound) {
+  // Every tuning pass builds its Tuner from the Engine's backend, whose bound
+  // compress_at has just moved.  The probe keys must not see that bound, or
+  // an identical retune after a compress_at would pay every probe again.
+  const NdArray field = make_field(DType::kFloat32, {37, 41});
+  Engine engine([] {
+    EngineConfig config;
+    config.compressor = "sz";
+    config.tuner.target_ratio = 5.0;
+    config.tuner.threads = 1;
+    return config;
+  }());
+  Buffer out;
+  ASSERT_TRUE(engine.compress_at(0.7, field.view(), out).ok());
+  ASSERT_TRUE(engine.tune("a", field.view()).ok());
+  const std::size_t executed = engine.stats().tuner_probe_calls;
+  EXPECT_GT(executed, 0u);
+  ASSERT_TRUE(engine.compress_at(0.01, field.view(), out).ok());
+  ASSERT_TRUE(engine.tune("b", field.view()).ok());  // cold key, same data
+  EXPECT_EQ(engine.stats().tuner_probe_calls, executed);
 }
 
 TEST(Engine, StatsSplitExecutedProbesFromCacheHits) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -65,6 +66,43 @@ TEST(Zfp, ToleranceFlooringCreatesSteps) {
   EXPECT_EQ(ca.size(), cb.size());
   EXPECT_LT(cc.size(), ca.size());
 }
+
+/// The premise of the probe layer's kPow2 lattice: within one tread
+/// [2^k, 2^(k+1)) accuracy mode realises one bit plane, so every tolerance
+/// there compresses to the same size and decodes to the same values (the
+/// payload records the raw tolerance, which is why the bytes themselves may
+/// differ).  If the coder ever used the tolerance continuously, the probe
+/// cache would serve wrong ratios and this must fail.
+class ZfpTreadSweep : public testing::TestWithParam<std::tuple<int, DType>> {};
+
+TEST_P(ZfpTreadSweep, ToleranceInsideOneTreadGivesSameSizeAndValues) {
+  const auto [dims, dtype] = GetParam();
+  const Shape shape = dims == 1 ? Shape{301} : dims == 2 ? Shape{29, 34} : Shape{10, 13, 18};
+  const NdArray field = make_field(dtype, shape);
+  for (const int k : {-12, -5, 0, 3}) {
+    const double floor = std::ldexp(1.0, k);
+    const double ceiling = std::ldexp(1.0, k + 1);
+    ZfpOptions base;
+    base.tolerance = floor;
+    const auto reference = zfp_compress(field.view(), base);
+    const NdArray reference_values = zfp_decompress(reference);
+    for (const double tolerance :
+         {floor * 1.001, floor * 1.25, floor * 1.5, floor * 1.9, std::nextafter(ceiling, 0.0)}) {
+      ZfpOptions opt;
+      opt.tolerance = tolerance;
+      const auto compressed = zfp_compress(field.view(), opt);
+      EXPECT_EQ(compressed.size(), reference.size()) << "k=" << k << " tol=" << tolerance;
+      const NdArray decoded = zfp_decompress(compressed);
+      ASSERT_EQ(decoded.size_bytes(), reference_values.size_bytes());
+      EXPECT_EQ(std::memcmp(decoded.data(), reference_values.data(), decoded.size_bytes()), 0)
+          << "k=" << k << " tol=" << tolerance;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DimsTypes, ZfpTreadSweep,
+                         testing::Combine(testing::Values(1, 2, 3),
+                                          testing::Values(DType::kFloat32, DType::kFloat64)));
 
 TEST(Zfp, ConstantFieldNearlyFree) {
   NdArray field(DType::kFloat32, {16, 16, 16});

@@ -139,6 +139,9 @@ std::string capabilities_json(const pressio::Compressor& c) {
       .field("error_bounded", caps.error_bounded)
       .field("lossless", caps.lossless)
       .field("blocked_mode", caps.blocked_mode)
+      .field("bound_lattice",
+             caps.bound_lattice == pressio::BoundLattice::kPow2 ? "pow2" : "continuous")
+      .field("fixed_rate_mode", caps.fixed_rate_mode)
       .key("options")
       .begin_array();
   for (const auto& key : c.get_options().keys()) w.value(key);
