@@ -70,10 +70,12 @@ class ByteSink;
 /// Construction-time configuration of an archive writer.
 struct ArchiveWriteConfig {
   /// Backend + tuning knobs; engine.tuner.target_ratio/epsilon define the
-  /// archive-level acceptance band.  Tuner thread parallelism is forced to 1
-  /// inside the writer — archive parallelism comes from chunks (see
-  /// detail::serial_tuning).  Tuned bounds do not depend on the tuner's
-  /// thread count, so it never changes the archive bytes.
+  /// archive-level acceptance band.  engine.tuner.threads is not used inside
+  /// the writer: a field's chunk-0 training runs its probe batches on the
+  /// pushing thread plus the `threads` chunk workers (idle until training
+  /// ends), and per-chunk engines probe inline on their worker.  Tuned
+  /// bounds do not depend on where probes run, so neither changes the
+  /// archive bytes.
   EngineConfig engine;
   /// Slowest-axis planes per chunk; 0 picks a policy from the shape alone
   /// (~16 chunks, at least 4 KiB of raw data each).  Per-field overrides go

@@ -149,6 +149,17 @@ Status zfp_rate_rescue(pressio::Compressor& rate_backend, const ArrayView& slice
   }
 }
 
+/// Per-chunk engines tune single-threaded: they run on the chunk workers,
+/// so the chunks themselves are the parallelism, and a probe batch that
+/// fanned out would wake the shared pool, whose threads each keep a malloc
+/// arena of compressor scratch alive.  Tuned bounds are identical at any
+/// thread count (lockstep region rounds, serial refinement), so this moves
+/// time, never bytes.
+EngineConfig serial_tuning(EngineConfig config) {
+  config.tuner.threads = 1;
+  return config;
+}
+
 /// Everything the pipeline tracks per chunk before emission.
 struct Slot {
   Buffer bytes;
@@ -182,7 +193,9 @@ struct PipelineOutcome {
 /// independent of worker count and transport.  Every worker engine adopts
 /// the warm state's BoundStore and ProbeCache; chunk i reads and commits
 /// only its own (field, i) key, pre-seeded by the assembler, so the shared
-/// stores never make bytes scheduling-dependent.
+/// stores never make bytes scheduling-dependent.  The worker pool exists
+/// before the worker loops do: between construction and start() the field's
+/// chunk-0 training runs its probe batches on those otherwise idle threads.
 class ChunkPipeline {
 public:
   ChunkPipeline(const ArchiveWriteConfig& config, const WriterWarmState& state,
@@ -202,9 +215,6 @@ public:
     slots_.resize(chunk_count_);
     outcome_.chunks.resize(chunk_count_);
     pool_ = std::make_unique<ThreadPool>(workers_);
-    futures_.reserve(workers_);
-    for (unsigned w = 0; w < workers_; ++w)
-      futures_.push_back(pool_->submit([this] { worker(); }));
   }
 
   ~ChunkPipeline() {
@@ -221,6 +231,18 @@ public:
 
   ChunkPipeline(const ChunkPipeline&) = delete;
   ChunkPipeline& operator=(const ChunkPipeline&) = delete;
+
+  /// The chunk workers' pool.  Until start() its threads are idle, and the
+  /// field's chunk-0 training runs its probe batches on them.
+  ThreadPool& pool() noexcept { return *pool_; }
+
+  /// Start the per-chunk worker loops.  Call once, after every chunk key has
+  /// been seeded: a worker reads its chunk's seed the moment it starts.
+  void start() {
+    futures_.reserve(workers_);
+    for (unsigned w = 0; w < workers_; ++w)
+      futures_.push_back(pool_->submit([this] { worker(); }));
+  }
 
   /// Take ownership of the next chunk row.  Blocks while the window is full
   /// — this back-pressure is the writer's input-memory bound.
@@ -470,11 +492,6 @@ private:
   std::vector<std::future<void>> futures_;
 };
 
-EngineConfig serial_tuning(EngineConfig config) {
-  config.tuner.threads = 1;
-  return config;
-}
-
 // ---------------------------------------------------------------- assembler
 
 /// One field mid-ingestion: its geometry, the single staged chunk row, and
@@ -631,8 +648,16 @@ Status ArchiveAssembler::submit_stage() noexcept {
       // Algorithm 3), else the fresh chunk-0 bound.  Seeds depend only on
       // (field, chunk index), so the bytes a chunk compresses to cannot
       // depend on which worker handled it or on how many workers ran.
+      //
+      // The pipeline's workers are idle until start(), so the training's
+      // probe batches run on them, the pushing thread included.
+      field.pipeline = std::make_unique<ChunkPipeline>(
+          config_, state_, field.name, field.shape, field.chunk_count,
+          chunk_bytes_emitted_, sink_);
+      state_.tune_engine.adopt_probe_pool(&field.pipeline->pool());
       Result<TuneResult> tuned =
           state_.tune_engine.tune(field_tune_key(field.name), field.stage.view());
+      state_.tune_engine.adopt_probe_pool(nullptr);
       if (!tuned.ok()) return tuned.status();
       const double shared_bound = tuned.value().error_bound;
       const double target = config_.engine.tuner.target_ratio;
@@ -641,9 +666,7 @@ Status ArchiveAssembler::submit_stage() noexcept {
         if (state_.bounds->get(key, target) <= 0)
           state_.bounds->put(key, target, shared_bound);
       }
-      field.pipeline = std::make_unique<ChunkPipeline>(
-          config_, state_, field.name, field.shape, field.chunk_count,
-          chunk_bytes_emitted_, sink_);
+      field.pipeline->start();
       field.tuned = true;
     }
 
@@ -807,7 +830,7 @@ Result<ArchiveWriteResult> ArchiveAssembler::finish() noexcept {
 namespace fraz::archive {
 
 WriterWarmState::WriterWarmState(const EngineConfig& engine_config)
-    : tune_engine(detail::serial_tuning(engine_config)),
+    : tune_engine(engine_config),
       bounds(std::make_shared<BoundStore>()),
       probes(std::make_shared<ProbeCache>()) {
   tune_engine.adopt_bound_store(bounds);

@@ -33,16 +33,6 @@
 
 namespace fraz::archive::detail {
 
-/// Writer-internal engines tune single-threaded: archive parallelism comes
-/// from chunks.  Tuned bounds are identical at any thread count (lockstep
-/// region rounds, serial refinement), so this moves time, never bytes.  The
-/// chunk-0 engine stays serial too although no chunk worker runs while it
-/// trains: its probe batches would wake the shared pool, whose threads each
-/// keep a malloc arena of compressor scratch alive (tune-cold benchmark on
-/// a 4-core x86-64 host: peak RSS ~19 MB -> ~28 MB, pack speed within
-/// run-to-run noise).
-EngineConfig serial_tuning(EngineConfig config);
-
 /// Append-only destination of one archive build.
 class ByteSink {
 public:

@@ -1,7 +1,6 @@
 #include "codec/rans_interleaved.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "codec/varint.hpp"
 #include "util/error.hpp"
@@ -17,6 +16,10 @@ constexpr std::uint32_t kProbScale = 1u << kProbBits;
 constexpr std::uint32_t kStateLow = 1u << 23;
 constexpr unsigned kWays = kRansWays;
 
+/// Value-range slack of the encoder's flat symbol table: the whole range of
+/// sz quantization codes, [0, 2 * radius).
+constexpr std::uint64_t kFlatSlack = std::uint64_t{1} << 16;
+
 constexpr std::uint8_t kModeRans = 0;
 constexpr std::uint8_t kModeRaw = 1;
 
@@ -26,13 +29,15 @@ struct SymbolStats {
   std::uint32_t cum;   // cumulative start
 };
 
+/// Sorted (symbol, count) pairs of one stream.
+using Census = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
 /// Normalize raw counts so they sum exactly to kProbScale with every present
 /// symbol keeping frequency >= 1.  Same deterministic drift policy as the
 /// single-state coder (rans.cpp): rounding drift is absorbed by the symbols
 /// with the largest frequencies, visited in descending (frequency, symbol)
 /// order.  \p census must be sorted by symbol.
-std::vector<SymbolStats> normalize(const std::vector<std::pair<std::uint32_t, std::uint64_t>>& census,
-                                   std::uint64_t total) {
+std::vector<SymbolStats> normalize(const Census& census, std::uint64_t total) {
   std::vector<SymbolStats> stats;
   stats.reserve(census.size());
   std::int64_t assigned = 0;
@@ -71,32 +76,6 @@ std::vector<SymbolStats> normalize(const std::vector<std::pair<std::uint32_t, st
     cum += s.freq;
   }
   return stats;
-}
-
-/// Sorted (symbol, count) census.  Quantization-code alphabets are dense
-/// around the radius, so a min..max flat array census replaces the std::map
-/// walk of the single-state encoder (the dominant cost of rans_encode on
-/// large streams); genuinely sparse alphabets fall back to the map.
-std::vector<std::pair<std::uint32_t, std::uint64_t>> build_census(const std::uint32_t* symbols,
-                                                                  std::size_t n) {
-  std::uint32_t lo = symbols[0], hi = symbols[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    lo = std::min(lo, symbols[i]);
-    hi = std::max(hi, symbols[i]);
-  }
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> census;
-  const std::uint64_t range = static_cast<std::uint64_t>(hi) - lo + 1;
-  if (range <= (std::uint64_t{1} << 20)) {
-    std::vector<std::uint64_t> counts(static_cast<std::size_t>(range), 0);
-    for (std::size_t i = 0; i < n; ++i) ++counts[symbols[i] - lo];
-    for (std::size_t v = 0; v < counts.size(); ++v)
-      if (counts[v] != 0) census.emplace_back(lo + static_cast<std::uint32_t>(v), counts[v]);
-  } else {
-    std::map<std::uint32_t, std::uint64_t> map_census;
-    for (std::size_t i = 0; i < n; ++i) ++map_census[symbols[i]];
-    census.assign(map_census.begin(), map_census.end());
-  }
-  return census;
 }
 
 /// Parse the alphabet section into stats; shared by both decoders.
@@ -188,7 +167,41 @@ std::vector<std::uint8_t> rans_interleaved_encode(const std::uint32_t* symbols,
   out.push_back(static_cast<std::uint8_t>(kWays));
   if (n == 0) return out;
 
-  const auto census = build_census(symbols, n);
+  // The sorted (symbol, count) census, and then a symbol -> rank lookup
+  // into it, never sized by the whole value range.  Quantization codes are
+  // dense: blocked sz's live in [0, 2^16), so while the min..max range is
+  // at most 2n + 2^16 one flat table over it serves both (counts, then
+  // ranks) in O(n) memory plus a fixed 256 KiB.  A stream spread wider is
+  // sorted instead, and its ranks are binary searches over the census.
+  // thread_local: group encoders reuse the warm allocations.
+  std::uint32_t lo = symbols[0], hi = symbols[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, symbols[i]);
+    hi = std::max(hi, symbols[i]);
+  }
+  const std::uint64_t range = static_cast<std::uint64_t>(hi) - lo + 1;
+  const bool flat = range <= 2 * static_cast<std::uint64_t>(n) + kFlatSlack &&
+                    n <= 0xffffffffu;
+  thread_local std::vector<std::uint32_t> table;
+  Census census;
+  if (flat) {
+    table.assign(static_cast<std::size_t>(range), 0);
+    for (std::size_t i = 0; i < n; ++i) ++table[symbols[i] - lo];
+    for (std::size_t v = 0; v < table.size(); ++v)
+      if (table[v] != 0) census.emplace_back(lo + static_cast<std::uint32_t>(v), table[v]);
+  } else {
+    table.assign(symbols, symbols + n);
+    std::sort(table.begin(), table.end());
+    for (std::size_t i = 0; i < n;) {
+      std::size_t j = i + 1;
+      while (j < n && table[j] == table[i]) ++j;
+      census.emplace_back(table[i], j - i);
+      i = j;
+    }
+    // The distinct symbols, ascending: the binary-search keys of the ranks.
+    table.resize(census.size());
+    for (std::size_t r = 0; r < census.size(); ++r) table[r] = census[r].first;
+  }
   if (census.size() > kProbScale) {
     // More distinct symbols than probability slots: the stream is close to
     // incompressible, so store it verbatim instead of failing.
@@ -207,12 +220,11 @@ std::vector<std::uint8_t> rans_interleaved_encode(const std::uint32_t* symbols,
     prev = stats[i].symbol;
   }
 
-  // Symbol -> encode-entry lookup mirroring the census layout: flat array
-  // over the dense min..max range, map fallback for sparse alphabets.  Each
-  // entry carries the renormalization threshold plus a fixed-point reciprocal
-  // of its frequency so the state update below needs no hardware divide:
-  // for every 32-bit x,  x / freq == ((x * rcp_freq) >> 32) >> rcp_shift,
-  // which turns  ((x / freq) << kProbBits) + (x % freq) + cum  into
+  // One encode entry per distinct symbol.  Each carries the renormalization
+  // threshold plus a fixed-point reciprocal of its frequency so the state
+  // update below needs no hardware divide: for every 32-bit x,
+  // x / freq == ((x * rcp_freq) >> 32) >> rcp_shift, which turns
+  // ((x / freq) << kProbBits) + (x % freq) + cum  into
   // x + bias + (x / freq) * cmpl_freq — bit-identical to the division form.
   struct EncSymbol {
     std::uint32_t x_max;       // renormalize while x >= x_max
@@ -221,8 +233,10 @@ std::vector<std::uint8_t> rans_interleaved_encode(const std::uint32_t* symbols,
     std::uint32_t cmpl_freq;   // (1 << kProbBits) - freq
     std::uint32_t rcp_shift;
   };
-  const auto make_enc = [](const SymbolStats& s) {
-    EncSymbol es{};
+  std::vector<EncSymbol> enc(stats.size());
+  for (std::size_t r = 0; r < stats.size(); ++r) {
+    const SymbolStats& s = stats[r];
+    EncSymbol& es = enc[r];
     es.x_max = ((kStateLow >> kProbBits) << 8) * s.freq;
     es.cmpl_freq = (1u << kProbBits) - s.freq;
     if (s.freq < 2) {
@@ -238,18 +252,7 @@ std::vector<std::uint8_t> rans_interleaved_encode(const std::uint32_t* symbols,
       es.rcp_shift = shift - 1;
       es.bias = s.cum;
     }
-    return es;
-  };
-  const std::uint32_t lo = stats.front().symbol;
-  const std::uint64_t range = static_cast<std::uint64_t>(stats.back().symbol) - lo + 1;
-  std::vector<EncSymbol> flat;
-  std::map<std::uint32_t, EncSymbol> sparse;
-  const bool dense = range <= (std::uint64_t{1} << 20);
-  if (dense) {
-    flat.assign(static_cast<std::size_t>(range), EncSymbol{});
-    for (const auto& s : stats) flat[s.symbol - lo] = make_enc(s);
-  } else {
-    for (const auto& s : stats) sparse.emplace(s.symbol, make_enc(s));
+    if (flat) table[s.symbol - lo] = static_cast<std::uint32_t>(r);  // count -> rank
   }
 
   // Encode in reverse with alternating states so the decoder emits forward:
@@ -269,21 +272,34 @@ std::vector<std::uint8_t> rans_interleaved_encode(const std::uint32_t* symbols,
   std::uint8_t* pp = payload.data();
   std::uint32_t states[kWays];
   for (auto& s : states) s = kStateLow;
-  for (std::size_t i = n; i-- > 0;) {
-    const EncSymbol es = dense ? flat[symbols[i] - lo] : sparse.find(symbols[i])->second;
-    std::uint32_t& x = states[i % kWays];
-    pp[0] = static_cast<std::uint8_t>(x & 0xffu);
-    pp[1] = static_cast<std::uint8_t>((x >> 8) & 0xffu);
-    const unsigned renorm =
-        static_cast<unsigned>(x >= es.x_max) +
-        static_cast<unsigned>(static_cast<std::uint64_t>(x) >=
-                              (static_cast<std::uint64_t>(es.x_max) << 8));
-    pp += renorm;
-    x >>= 8 * renorm;
-    const std::uint32_t q = static_cast<std::uint32_t>(
-                                (static_cast<std::uint64_t>(x) * es.rcp_freq) >> 32) >>
-                            es.rcp_shift;
-    x += es.bias + q * es.cmpl_freq;
+  // One instantiation per lookup, so the loop carries no per-symbol branch
+  // on the table kind.
+  const auto encode_all = [&](auto rank_of) {
+    for (std::size_t i = n; i-- > 0;) {
+      const EncSymbol es = enc[rank_of(symbols[i])];
+      std::uint32_t& x = states[i % kWays];
+      pp[0] = static_cast<std::uint8_t>(x & 0xffu);
+      pp[1] = static_cast<std::uint8_t>((x >> 8) & 0xffu);
+      const unsigned renorm =
+          static_cast<unsigned>(x >= es.x_max) +
+          static_cast<unsigned>(static_cast<std::uint64_t>(x) >=
+                                (static_cast<std::uint64_t>(es.x_max) << 8));
+      pp += renorm;
+      x >>= 8 * renorm;
+      const std::uint32_t q = static_cast<std::uint32_t>(
+                                  (static_cast<std::uint64_t>(x) * es.rcp_freq) >> 32) >>
+                              es.rcp_shift;
+      x += es.bias + q * es.cmpl_freq;
+    }
+  };
+  const std::uint32_t* lookup = table.data();
+  if (flat) {
+    encode_all([lookup, lo](std::uint32_t symbol) { return lookup[symbol - lo]; });
+  } else {
+    const std::uint32_t* lookup_end = lookup + table.size();
+    encode_all([lookup, lookup_end](std::uint32_t symbol) {
+      return static_cast<std::size_t>(std::lower_bound(lookup, lookup_end, symbol) - lookup);
+    });
   }
   // Flush states 7..0 LSB-first; after the reversal below the decoder reads
   // state 0 first, each big-endian.

@@ -189,12 +189,13 @@ void ProbeCache::clear() noexcept {
 // ----------------------------------------------------------- ProbeExecutor
 
 ProbeExecutor::ProbeExecutor(const pressio::Compressor& prototype, ProbeCachePtr cache,
-                             unsigned threads)
+                             unsigned threads, ThreadPool* pool)
     : prototype_(pinned_clone(prototype)),
       config_fingerprint_(options_fingerprint(*prototype_)),
       lattice_(prototype_->capabilities().bound_lattice),
       cache_(std::move(cache)),
       threads_(threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads),
+      pool_(pool),
       probe_span_name_("tune.probe_us." + prototype.name()),
       probe_hist_backend_(&telemetry::global().histogram(probe_span_name_)),
       probes_executed_backend_(
@@ -287,11 +288,15 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
 
   if (!misses.empty()) {
     std::vector<ProbeRecord> records(misses.size());
-    parallel_for_shared(misses.size(), threads_, [&](std::size_t m) {
+    const auto run = [&](std::size_t m) {
       auto worker = checkout();
       records[m] = execute_ratio(*worker, data, misses[m].bound, worker->scratch);
       checkin(std::move(worker));
-    });
+    };
+    if (pool_ != nullptr)
+      parallel_for(*pool_, misses.size(), threads_, run);
+    else
+      parallel_for_shared(misses.size(), threads_, run);
     for (std::size_t m = 0; m < misses.size(); ++m) {
       cache_->insert(context, misses[m].key, records[m]);
       out[misses[m].index] = ProbeOutcome{records[m], false};

@@ -3,7 +3,7 @@
 
 /// \file probe.hpp
 /// The shared probe layer under every tuner: one place that spends
-/// compressor evaluations, batched onto the shared thread pool and
+/// compressor evaluations, batched onto a thread pool and
 /// deduplicated through a cache keyed by (data fingerprint, compressor
 /// configuration, lattice point of the error bound).
 ///
@@ -42,6 +42,8 @@
 #include "util/thread_annotations.hpp"
 
 namespace fraz {
+
+class ThreadPool;
 
 namespace telemetry {
 class Counter;
@@ -140,16 +142,19 @@ struct ProbeOutcome {
 
 /// Executes probes for one compressor configuration: clones workers on
 /// demand (kept in an internal context pool so scratch buffers reach their
-/// zero-allocation steady state), batches misses onto the shared thread
-/// pool, and consults/feeds the shared ProbeCache.  Thread-safe; one
-/// executor may serve concurrent searches over different data.
+/// zero-allocation steady state), batches misses onto a thread pool, and
+/// consults/feeds the shared ProbeCache.  Thread-safe; one executor may
+/// serve concurrent searches over different data.
 class ProbeExecutor {
 public:
   /// \param prototype cloned once per worker context on demand.
   /// \param cache shared dedup cache (non-null).
-  /// \param threads concurrency cap for one batch; 0 = hardware, 1 = inline.
+  /// \param threads concurrency cap for one batch, the calling thread
+  ///        included; 0 = hardware, 1 = inline.
+  /// \param pool where a batch's helpers run; null = shared_thread_pool().
+  ///        A given pool must outlive the executor.
   ProbeExecutor(const pressio::Compressor& prototype, ProbeCachePtr cache,
-                unsigned threads);
+                unsigned threads, ThreadPool* pool = nullptr);
 
   /// Cache context key for \p data under this executor's compressor config.
   /// Compute once per search and reuse across its rounds.
@@ -158,7 +163,7 @@ public:
   /// Evaluate ratio probes for one batch of bounds (one search round).
   /// Results are positionally aligned with \p bounds.  Bounds sharing a
   /// lattice point in the batch and cache hits cost nothing; misses run
-  /// concurrently up to the thread cap on the shared pool, the calling
+  /// concurrently up to the thread cap on the executor's pool, the calling
   /// thread included (so a batch issued from inside a pool task cannot
   /// stall).  Throws on compression failure.
   std::vector<ProbeOutcome> probe_ratios(const ArrayView& data, std::uint64_t context,
@@ -210,6 +215,7 @@ private:
   pressio::BoundLattice lattice_;
   ProbeCachePtr cache_;
   unsigned threads_;
+  ThreadPool* pool_;  ///< null = shared_thread_pool()
 
   // Backend-labeled telemetry handles, resolved once in the constructor from
   // the prototype's name ("tune.probe_us.sz", "tune.probes_executed.szx",

@@ -43,11 +43,12 @@ struct LogPoint {
 Tuner::Tuner(const pressio::Compressor& prototype, TunerConfig config)
     : Tuner(prototype, config, std::make_shared<ProbeCache>()) {}
 
-Tuner::Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache)
+Tuner::Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache,
+             ThreadPool* probe_pool)
     : prototype_(prototype.clone()),
       config_(config),
       cache_(std::move(cache)),
-      executor_(prototype, cache_, config_.threads) {
+      executor_(prototype, cache_, config_.threads, probe_pool) {
   require(config_.target_ratio > 1.0, "Tuner: target_ratio must exceed 1");
   require(config_.epsilon > 0 && config_.epsilon < 1, "Tuner: epsilon in (0, 1)");
   require(config_.regions >= 1, "Tuner: regions must be >= 1");
@@ -104,7 +105,7 @@ TuneResult Tuner::train(const ArrayView& data, std::uint64_t context) const {
 
   // One ask/tell stepper per region (paper Alg. 2), all advancing in
   // lockstep: each round collects one proposal from every live region,
-  // evaluates the batch through the probe executor (dedup cache, shared
+  // evaluates the batch through the probe executor (dedup cache, thread
   // pool), and feeds the observations back.  The round structure replaces
   // the seed's one-blocked-thread-per-region layout and its racy
   // cancellation: the winner's round is the last round, deterministically,

@@ -69,8 +69,11 @@ struct TunerConfig {
   /// Iteration cap per region (the paper bounds iterations, not time).
   int max_evals_per_region = 24;
   /// Worker threads for probe/field parallelism; 0 = hardware concurrency.
-  /// Probe batches run on the shared opt thread pool capped at this count;
-  /// the tuned bound is bit-identical at every thread count (the region
+  /// A probe batch runs on the calling thread plus helpers from the
+  /// tuner's probe pool (the shared opt thread pool unless one is given),
+  /// capped at this count; an Engine that has adopted a probe pool runs its
+  /// batches on the caller plus every worker of that pool instead.  The
+  /// tuned bound is bit-identical at every thread count (the region
   /// searches advance in deterministic lockstep rounds).
   unsigned threads = 0;
   /// Deterministic seed.
@@ -132,7 +135,7 @@ struct SeriesResult {
 /// Since the ask/tell refactor the K region searches (paper Alg. 2) advance
 /// in deterministic lockstep rounds: each round asks every live region for
 /// its next proposal, evaluates the batch through a ProbeExecutor (dedup
-/// cache + shared thread pool), tells each region its observation, and
+/// cache + thread pool), tells each region its observation, and
 /// cancels every region the moment one lands in the acceptance band.  The
 /// tuned bound is therefore bit-identical at any thread count, and losing
 /// regions stop after the winner's round instead of draining their budgets.
@@ -142,8 +145,11 @@ public:
 
   /// Share a probe cache with other consumers (an Engine, other tuners):
   /// identical (data, config, bound) probes anywhere in the process are then
-  /// paid once.  \p cache must not be null.
-  Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache);
+  /// paid once.  \p cache must not be null.  Probe batches run their
+  /// helpers on \p probe_pool (null = shared_thread_pool()), which must
+  /// outlive the tuner.
+  Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache,
+        ThreadPool* probe_pool = nullptr);
 
   const TunerConfig& config() const noexcept { return config_; }
 

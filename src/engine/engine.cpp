@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include "core/loss.hpp"
+#include "opt/thread_pool.hpp"
 #include "pressio/registry.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -62,7 +63,8 @@ void Engine::adopt_probe_cache(ProbeCachePtr cache) noexcept {
 Tuner Engine::make_tuner(double target_ratio) const {
   TunerConfig cfg = config_.tuner;
   cfg.target_ratio = target_ratio;
-  return Tuner(*compressor_, cfg, probe_cache_);
+  if (probe_pool_ != nullptr) cfg.threads = probe_pool_->size() + 1;
+  return Tuner(*compressor_, cfg, probe_cache_, probe_pool_);
 }
 
 void Engine::record_tune(const std::string& field, double target_ratio,

@@ -174,6 +174,13 @@ public:
   void adopt_probe_cache(ProbeCachePtr cache) noexcept;
   const ProbeCachePtr& probe_cache() const noexcept { return probe_cache_; }
 
+  /// Run probe batches on the calling thread plus every worker of \p pool,
+  /// instead of on shared_thread_pool() capped at tuner.threads; null
+  /// restores the shared pool.  The Engine does not own \p pool: detach it
+  /// before the pool is destroyed.  Tuned bounds do not depend on where
+  /// probes run, so this moves time, never bytes.
+  void adopt_probe_pool(ThreadPool* pool) noexcept { probe_pool_ = pool; }
+
   const EngineStats& stats() const noexcept { return stats_; }
 
   /// Per-field breakdown of the aggregate counters (empty until a field is
@@ -193,6 +200,7 @@ private:
   pressio::CompressorPtr compressor_;
   BoundStorePtr bounds_;        ///< last feasible bound per (field, target)
   ProbeCachePtr probe_cache_;   ///< dedup cache fed to every tuning pass
+  ThreadPool* probe_pool_ = nullptr;  ///< null = shared pool (not owned)
   EngineStats stats_;
   std::map<std::string, EngineFieldStats> field_stats_;
 };

@@ -29,8 +29,17 @@ ThreadPool& shared_thread_pool() {
 
 void parallel_for_shared(std::size_t n, unsigned threads,
                          const std::function<void(std::size_t)>& fn) {
+  // An inline loop must not be what creates the shared pool's threads.
+  if (threads <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  parallel_for(shared_thread_pool(), n, threads, fn);
+}
+
+void parallel_for(ThreadPool& pool, std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  ThreadPool& pool = shared_thread_pool();
   const unsigned helpers = static_cast<unsigned>(
       std::min<std::size_t>({threads > 0 ? threads - 1 : 0, n - 1, pool.size()}));
   if (helpers == 0) {

@@ -57,26 +57,31 @@ private:
   bool stopping_ FRAZ_GUARDED_BY(mutex_) = false;
 };
 
-/// The process-wide pool probe batches share (hardware-sized, lazily
-/// created).  Orchestrators that must *cap* concurrency keep their own small
-/// pools; leaf work — batched compressor probes from any number of
+/// The process-wide pool probe batches share by default (hardware-sized,
+/// lazily created).  Orchestrators that must *cap* concurrency keep their
+/// own small pools; leaf work — batched compressor probes from any number of
 /// concurrent tuners — lands here so total probe concurrency is bounded by
 /// the hardware instead of multiplying per caller.  Tasks submitted here
 /// must never block on other shared-pool tasks.
 ThreadPool& shared_thread_pool();
 
-/// Run fn(0..n-1) with up to \p threads workers drawn from
-/// shared_thread_pool(), the CALLER INCLUDED — the caller claims work too, so
-/// the loop completes even when every pool worker is busy (or when this is
-/// itself running on a pool worker), which keeps the never-block-on-pool-tasks
-/// rule intact for nested use.  Helpers claim indices from a shared atomic
-/// counter; the first exception is captured and rethrown on the caller after
-/// every index has finished.  threads <= 1 or n <= 1 runs inline.
+/// Run fn(0..n-1) with up to \p threads workers drawn from \p pool, the
+/// CALLER INCLUDED — the caller claims work too, so the loop completes even
+/// when every pool worker is busy (or when this is itself running on a pool
+/// worker), which keeps the never-block-on-pool-tasks rule intact for nested
+/// use.  Helpers claim indices from a shared atomic counter; the first
+/// exception is captured and rethrown on the caller after every index has
+/// finished.  threads <= 1 or n <= 1 runs inline.
 ///
 /// Index assignment is dynamic, so \p fn must not care which thread runs
 /// which index: writes for distinct indices must land in disjoint locations
 /// and results must depend only on the index (the blocked-sz determinism
 /// contract rides on this).
+void parallel_for(ThreadPool& pool, std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& fn);
+
+/// parallel_for over shared_thread_pool(); a loop that runs inline
+/// (threads <= 1 or n <= 1) never creates the pool.
 void parallel_for_shared(std::size_t n, unsigned threads,
                          const std::function<void(std::size_t)>& fn);
 

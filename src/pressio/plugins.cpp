@@ -274,10 +274,12 @@ public:
     }
   }
 
+  /// Fixed bits, when set, stay in force: tuners and Engine::compress_at
+  /// call this on every probe, and a `truncate:bits` configuration must
+  /// survive them.
   void set_error_bound(double bound) override {
     require(bound > 0, "truncate: error bound must be positive");
     bound_ = bound;
-    fixed_bits_ = 0;  // derive from the bound again
   }
   double error_bound() const override { return bound_; }
 

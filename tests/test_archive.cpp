@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <thread>
 
 #include "codec/checksum.hpp"
 #include "data/datasets.hpp"
+#include "opt/thread_pool.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
 
@@ -186,6 +189,94 @@ TEST(Archive, ThreadCountDoesNotChangeTheBytes) {
     EXPECT_EQ(std::memcmp(serial.data(), parallel.data(), serial.size()), 0)
         << "archives must be byte-identical regardless of worker count";
   }
+}
+
+TEST(Archive, ColdWritersAreIdenticalAtAnyThreadCount) {
+  // A fresh writer trains chunk 0 on its own chunk workers, so the thread
+  // count sets how many threads run the training's probe batches.  The
+  // archive, every chunk's bounds and the tuned chunk-0 bound must not
+  // move, for every backend: the zfp rate rescue and blocked sz included.
+  struct Case {
+    const char* backend;
+    pressio::Options options;
+    double target;
+  };
+  const Case cases[] = {
+      {"sz", {}, 8.0},
+      {"sz", {{"sz:mode", std::string("blocked")}}, 8.0},
+      {"zfp", {}, 10.0},
+      {"mgard", {}, 8.0},
+      {"szx", {}, 8.0},
+      {"truncate", {}, 2.5},
+  };
+  const auto hurricane = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
+  const NdArray zfp_field = data::generate_field(data::field_by_name(hurricane, "TCf"), 0);
+  const NdArray field = make_field(DType::kFloat32, {12, 20, 16});
+  for (const Case& c : cases) {
+    const bool zfp = std::string(c.backend) == "zfp";
+    // Extent 2 on the small hurricane field is where zfp needs its rescue.
+    const NdArray& data = zfp ? zfp_field : field;
+    SCOPED_TRACE(std::string(c.backend) + (c.options.contains("sz:mode") ? ":blocked" : ""));
+    Buffer reference;
+    ArchiveWriteResult first;
+    double first_tuned = 0;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      ArchiveWriteConfig config = writer_config(c.backend, c.target, 0.1, zfp ? 2 : 4, threads);
+      config.engine.compressor_options = c.options;
+      ArchiveWriter writer(config);
+      Buffer bytes;
+      auto written = writer.write(data.view(), bytes);
+      ASSERT_TRUE(written.ok()) << written.status().to_string();
+      const ArchiveWriteResult& result = written.value();
+      const double tuned = writer.bound_store()->get("archive:data:chunk0", c.target);
+      if (threads == 1) {
+        if (zfp) {
+          EXPECT_GT(result.rate_fallback_chunks, 0u);
+        }
+        reference = std::move(bytes);
+        first = result;
+        first_tuned = tuned;
+        continue;
+      }
+      EXPECT_EQ(tuned, first_tuned) << threads;
+      ASSERT_EQ(bytes.size(), reference.size()) << threads;
+      EXPECT_EQ(std::memcmp(bytes.data(), reference.data(), bytes.size()), 0) << threads;
+      ASSERT_EQ(result.chunks.size(), first.chunks.size());
+      for (std::size_t i = 0; i < result.chunks.size(); ++i) {
+        EXPECT_EQ(result.chunks[i].tuned_bound, first.chunks[i].tuned_bound) << threads << " " << i;
+        EXPECT_EQ(result.chunks[i].entry.error_bound, first.chunks[i].entry.error_bound)
+            << threads << " " << i;
+      }
+    }
+  }
+}
+
+TEST(Archive, ChunkZeroTrainsOnTheWritersOwnWorkers) {
+  // Chunk 0's probe batches run on the pushing thread plus the writer's
+  // chunk workers, which are idle until training ends — never on the
+  // shared pool, whose threads would each keep a malloc arena alive.
+  // The registration, and so the log, lives as long as the process.  The
+  // first probe waits for a second thread, so a loaded machine that starts
+  // the workers late cannot make a parallel batch look serial.
+  static const auto log = std::make_shared<testhelpers::ThreadLog>(2);
+  testhelpers::register_forwarding_plugin("sz-thread-log", "sz", {}, log);
+  const std::set<std::thread::id> shared = testhelpers::pool_thread_ids(shared_thread_pool());
+  const NdArray field = make_field(DType::kFloat32, {24, 16, 16});
+  log->clear();
+  Buffer bytes;
+  const ArchiveWriteResult result =
+      pack(field.view(), writer_config("sz-thread-log", 8.0, 0.1, 4, 3), bytes);
+  const std::vector<std::thread::id> calls = log->ids();
+
+  // Every chunk is warm, so chunk 0's training ran the only probes, and all
+  // of them finished before the first chunk compression started.
+  ASSERT_EQ(result.warm_chunks, result.chunk_count);
+  ASSERT_LE(result.tuner_probe_calls, calls.size());
+  const std::set<std::thread::id> training(
+      calls.begin(), calls.begin() + static_cast<std::ptrdiff_t>(result.tuner_probe_calls));
+  EXPECT_GT(training.size(), 1u) << "chunk 0 trained on one thread";
+  EXPECT_LE(training.size(), 4u);  // the pushing thread and three workers
+  for (const std::thread::id id : calls) EXPECT_EQ(shared.count(id), 0u);
 }
 
 TEST(Archive, SiblingsThatMissChunkZerosBoundAreRefinedLocally) {

@@ -445,6 +445,29 @@ TEST(Engine, OutOfBandRetuneDropsTheCachedBound) {
   }
 }
 
+TEST(Engine, FixedTruncateBitsSurviveTuning) {
+  // truncate:bits fixes the kept bits, so the backend is no longer error
+  // bounded and every bound gives the same bytes.  Tuning sets a bound on
+  // every probe and on the archive; none of that may drop the bits.
+  const pressio::Options options{{"truncate:bits", std::int64_t{12}}};
+  const NdArray field = make_field(DType::kFloat32, {16, 16, 16});
+  const std::vector<std::uint8_t> reference =
+      pressio::registry().create("truncate", options)->compress(field.view());
+
+  EngineConfig config = fast_config("truncate", 10.0);
+  config.compressor_options = options;
+  Engine engine(config);
+  EXPECT_FALSE(engine.capabilities().error_bounded);
+  Buffer out;
+  CompressOutcome outcome;
+  ASSERT_TRUE(engine.compress("f", field.view(), out, &outcome).ok());
+  EXPECT_FALSE(engine.capabilities().error_bounded);
+  EXPECT_EQ(std::vector<std::uint8_t>(out.data(), out.data() + out.size()), reference);
+  EXPECT_DOUBLE_EQ(outcome.achieved_ratio, static_cast<double>(field.size_bytes()) /
+                                               static_cast<double>(reference.size()));
+  EXPECT_GT(outcome.achieved_ratio, 2.5);  // 32 bits kept as 12
+}
+
 TEST(Engine, EvaluateReportsFidelityAtTunedBound) {
   Engine engine(fast_config("zfp"));
   const NdArray field = test_field();

@@ -7,15 +7,20 @@
 /// forwarding plugin that stands in for a user backend wrapping a built-in.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <condition_variable>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,6 +28,7 @@
 
 #include "archive/archive.hpp"
 #include "ndarray/ndarray.hpp"
+#include "opt/thread_pool.hpp"
 #include "pressio/registry.hpp"
 #include "util/buffer.hpp"
 
@@ -89,17 +95,86 @@ private:
   std::vector<std::string> paths_;
 };
 
+/// The ids of the threads that called record(), in call order.  Shared by a
+/// plugin and its clones, so it sees every probe worker's calls.  With a
+/// rendezvous of k > 1, the first calls wait (up to five seconds) until k
+/// distinct threads have called, so a batch that can run in parallel is
+/// seen to, however late the scheduler starts its helpers; a batch that
+/// cannot runs on after the wait.
+class ThreadLog {
+public:
+  explicit ThreadLog(std::size_t rendezvous = 1) : rendezvous_(rendezvous) {}
+
+  void record() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ids_.push_back(std::this_thread::get_id());
+    distinct_.insert(ids_.back());
+    if (met_) return;
+    if (distinct_.size() >= rendezvous_) {
+      met_ = true;
+      met_cv_.notify_all();
+      return;
+    }
+    met_cv_.wait_for(lock, std::chrono::seconds(5), [&] { return met_; });
+    met_ = true;  // met or timed out: later calls never wait
+  }
+  std::vector<std::thread::id> ids() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ids_;
+  }
+  void clear() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ids_.clear();
+    distinct_.clear();
+    met_ = false;
+  }
+
+private:
+  const std::size_t rendezvous_;
+  mutable std::mutex mutex_;
+  std::condition_variable met_cv_;
+  std::vector<std::thread::id> ids_;
+  std::set<std::thread::id> distinct_;
+  bool met_ = false;
+};
+
+/// The ids of \p pool's worker threads: one task per worker, each held
+/// until every worker has started one, so no worker can take two.
+inline std::set<std::thread::id> pool_thread_ids(ThreadPool& pool) {
+  std::mutex mutex;
+  std::condition_variable all_started;
+  std::set<std::thread::id> ids;
+  std::vector<std::future<void>> tasks;
+  for (unsigned w = 0; w < pool.size(); ++w)
+    tasks.push_back(pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      ids.insert(std::this_thread::get_id());
+      all_started.notify_all();
+      all_started.wait(lock, [&] { return ids.size() == pool.size(); });
+    }));
+  for (auto& task : tasks) task.get();
+  return ids;
+}
+
 /// A user plugin that forwards every call to a built-in backend under its
 /// own registry name — what a tracing or metering wrapper looks like to the
 /// framework.  Capabilities are the inner backend's, except the name and,
-/// when given, the declared bound lattice.
+/// when given, the declared bound lattice.  With a ThreadLog, every
+/// compress_into records its calling thread.
 class ForwardingPlugin final : public pressio::Compressor {
 public:
   ForwardingPlugin(std::string name, const std::string& inner,
-                   std::optional<pressio::BoundLattice> lattice)
-      : name_(std::move(name)), inner_(pressio::registry().create(inner)), lattice_(lattice) {}
+                   std::optional<pressio::BoundLattice> lattice,
+                   std::shared_ptr<ThreadLog> log = nullptr)
+      : name_(std::move(name)),
+        inner_(pressio::registry().create(inner)),
+        lattice_(lattice),
+        log_(std::move(log)) {}
   ForwardingPlugin(const ForwardingPlugin& other)
-      : name_(other.name_), inner_(other.inner_->clone()), lattice_(other.lattice_) {}
+      : name_(other.name_),
+        inner_(other.inner_->clone()),
+        lattice_(other.lattice_),
+        log_(other.log_) {}
 
   std::string name() const override { return name_; }
   pressio::Capabilities capabilities() const override {
@@ -113,6 +188,7 @@ public:
   void set_error_bound(double bound) override { inner_->set_error_bound(bound); }
   double error_bound() const override { return inner_->error_bound(); }
   Status compress_into(const ArrayView& input, Buffer& out) const noexcept override {
+    if (log_) log_->record();
     return inner_->compress_into(input, out);
   }
   Status decompress_into(const std::uint8_t* data, std::size_t size,
@@ -127,14 +203,16 @@ private:
   std::string name_;
   pressio::CompressorPtr inner_;
   std::optional<pressio::BoundLattice> lattice_;
+  std::shared_ptr<ThreadLog> log_;
 };
 
 /// Register a ForwardingPlugin as \p name (once per process).
 inline void register_forwarding_plugin(const std::string& name, const std::string& inner,
-                                       std::optional<pressio::BoundLattice> lattice = {}) {
+                                       std::optional<pressio::BoundLattice> lattice = {},
+                                       std::shared_ptr<ThreadLog> log = nullptr) {
   if (pressio::registry().contains(name)) return;
-  pressio::registry().register_factory(name, [name, inner, lattice] {
-    return std::make_unique<ForwardingPlugin>(name, inner, lattice);
+  pressio::registry().register_factory(name, [name, inner, lattice, log] {
+    return std::make_unique<ForwardingPlugin>(name, inner, lattice, log);
   });
 }
 

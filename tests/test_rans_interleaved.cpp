@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/checksum.hpp"
 #include "codec/varint.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -112,6 +113,67 @@ TEST(RansInterleaved, AdversarialSkewsVecVsScalarBitIdentity) {
 TEST(RansInterleaved, DeterministicOutput) {
   std::vector<std::uint32_t> symbols = {5, 3, 5, 5, 2, 3, 5, 8, 8, 2, 1, 0, 5};
   EXPECT_EQ(rans_interleaved_encode(symbols), rans_interleaved_encode(symbols));
+}
+
+/// Symbol streams whose value range is far wider than their length (plus
+/// one short-range control).  The encoder sizes its symbol tables by the
+/// stream length and the alphabet, not by the value range; the pinned size
+/// and CRC-32 of each encoding were recorded from the encoder that built
+/// flat tables over the whole min..max range (and a std::map beyond 2^20),
+/// so the bytes cannot have moved.
+struct WideRangeCase {
+  const char* name;
+  std::size_t encoded_size;
+  std::uint32_t encoded_crc;
+};
+
+std::vector<std::uint32_t> wide_range_stream(const std::string& name) {
+  std::vector<std::uint32_t> symbols;
+  Rng rng(17);
+  if (name == "few_distinct_spread") {
+    // 12 skewed values spread evenly over [0, 2^20).
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t k = std::min<std::uint64_t>(rng.below(4) + rng.below(4) + rng.below(5), 11);
+      symbols.push_back(static_cast<std::uint32_t>(k * 87381));
+    }
+  } else if (name == "codes_with_outliers") {
+    // Quantization codes around a 2^19 radius, every 97th one an outlier
+    // anywhere in [0, 2^20).
+    for (int i = 0; i < 4096; ++i)
+      symbols.push_back(i % 97 == 0 ? static_cast<std::uint32_t>(rng.below(1u << 20))
+                                    : (1u << 19) + static_cast<std::uint32_t>(rng.below(33)) - 16);
+  } else if (name == "beyond_flat_limit") {
+    // 200 distinct full-width values.
+    std::vector<std::uint32_t> alphabet;
+    for (int a = 0; a < 200; ++a) alphabet.push_back(static_cast<std::uint32_t>(rng.next()));
+    for (int i = 0; i < 3000; ++i)
+      symbols.push_back(alphabet[std::min<std::uint64_t>(rng.below(200), rng.below(200))]);
+  } else if (name == "raw_mode_wide") {
+    // More distinct values than probability slots, spread over 2^30.
+    for (std::uint32_t i = 0; i < 20000; ++i) symbols.push_back((i * 7919u % 20000u) * 50021u);
+  } else {  // "short_range": the range is below the length
+    for (int i = 0; i < 5000; ++i)
+      symbols.push_back(1000 + static_cast<std::uint32_t>(std::min(rng.below(300), rng.below(300))));
+  }
+  return symbols;
+}
+
+TEST(RansInterleaved, WideRangeStreamsKeepTheirBytes) {
+  const WideRangeCase cases[] = {
+      {"few_distinct_spread", 474, 0x39b20510u},
+      {"codes_with_outliers", 2906, 0x55ff8064u},
+      {"beyond_flat_limit", 3762, 0x95e93b8du},
+      {"raw_mode_wide", 94594, 0x0c3a2140u},
+      {"short_range", 5564, 0xc0875f3du},
+  };
+  for (const WideRangeCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<std::uint32_t> symbols = wide_range_stream(c.name);
+    const auto encoded = rans_interleaved_encode(symbols);
+    EXPECT_EQ(encoded.size(), c.encoded_size);
+    EXPECT_EQ(crc32(encoded), c.encoded_crc);
+    expect_roundtrip(symbols);
+  }
 }
 
 TEST(RansInterleaved, TruncationThrows) {

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "opt/cancel.hpp"
+#include "test_helpers.hpp"
 
 namespace fraz {
 namespace {
@@ -72,6 +73,32 @@ TEST(ThreadPool, DestructionDrainsQueue) {
       });
   }  // destructor must wait for queued work
   EXPECT_EQ(done.load(), 20);
+}
+
+TEST(ParallelFor, RunsEveryIndexOnceOnTheGivenPoolAndTheCaller) {
+  ThreadPool pool(2);
+  const std::set<std::thread::id> workers = testhelpers::pool_thread_ids(pool);
+  ASSERT_EQ(workers.size(), 2u);
+  std::vector<std::thread::id> ran(64);
+  std::vector<std::atomic<int>> runs(ran.size());
+  parallel_for(pool, ran.size(), 3, [&](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ran[i] = std::this_thread::get_id();
+    ++runs[i];
+  });
+  std::set<std::thread::id> used;
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << i;
+    used.insert(ran[i]);
+  }
+  for (const std::thread::id id : used)
+    EXPECT_TRUE(id == std::this_thread::get_id() || workers.count(id) == 1);
+  EXPECT_GT(used.size(), 1u);
+
+  // A cap of one thread runs inline on the caller.
+  std::set<std::thread::id> inline_ids;
+  parallel_for(pool, 8, 1, [&](std::size_t) { inline_ids.insert(std::this_thread::get_id()); });
+  EXPECT_EQ(inline_ids, std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 TEST(CancelToken, SetOnceVisibleEverywhere) {
